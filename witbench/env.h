@@ -244,6 +244,9 @@ inline std::unique_ptr<Env> BuildEnv(const EnvOptions& options) {
     watchit::Machine& machine =
         env->cluster->AddMachine(name, witnet::Ipv4Addr(10, 0, 3, static_cast<uint8_t>(10 + i)));
     PlantScanFiles(&machine);
+    // T-11's driver update is signed by the organization's policy system,
+    // as in the paper's case study; without it the TCB guard refuses it.
+    machine.tcb().AuthorizeModule("raid-ctl");
   }
   if (options.signature) {
     env->cluster->images().ForEach([](const std::string&, witcontain::PerforatedContainerSpec* spec) {

@@ -1,6 +1,6 @@
-// witbench arithmetic: exact percentiles over raw samples, span self time,
-// the per-layer reconciliation and metric-name validation. Header-only and
-// free of any WatchIT dependency so witbench_selftest can pin it down.
+// witbench arithmetic: exact percentiles over raw samples, span self time
+// and the per-layer reconciliation. Header-only and free of any WatchIT
+// dependency so witbench_selftest can pin it down.
 
 #ifndef WITBENCH_LEDGER_H_
 #define WITBENCH_LEDGER_H_
@@ -133,22 +133,6 @@ inline Reconciliation Reconcile(const std::vector<LedgerTerm>& terms, double mea
   r.gap_pct = measured_us > 0.0 ? 100.0 * (measured_us - r.predicted_us) / measured_us : 0.0;
   r.finding = std::fabs(r.gap_pct) > threshold_pct;
   return r;
-}
-
-// Metric names the driver accepts: [A-Za-z0-9_.-]+, at most 64 characters,
-// starting with a letter or digit.
-inline bool ValidMetricName(std::string_view name) {
-  if (name.empty() || name.size() > 64) {
-    return false;
-  }
-  auto alnum = [](char c) {
-    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9');
-  };
-  if (!alnum(name.front())) {
-    return false;
-  }
-  return std::all_of(name.begin(), name.end(),
-                     [&](char c) { return alnum(c) || c == '_' || c == '.' || c == '-'; });
 }
 
 struct Metric {

@@ -39,7 +39,8 @@ class TicketSource {
 struct PoolResult {
   uint64_t sent = 0;     // tickets offered in the timed part
   uint64_t served = 0;
-  uint64_t failed = 0;   // failed inside the pool
+  uint64_t failed = 0;   // failed inside the pool, or unsatisfied
+  uint64_t unsatisfied = 0;  // resolved, but an op was neither in view nor granted
   uint64_t refused = 0;  // EBUSY at Submit (open loop only)
   uint64_t busy_retries = 0;
   uint64_t stolen = 0;
@@ -76,7 +77,16 @@ inline PoolResult RunPoolPhase(Env* env, const std::vector<witload::GeneratedTic
 
   const size_t cap = phase.tickets;
   std::vector<uint64_t> served_ns(phase.warmup + cap, 0);
-  pool.set_result_callback([&served_ns](const watchit::ResolvedTicket& r) {
+  std::atomic<uint64_t> unsatisfied{0};
+  // A ticket counts as served only when every required op succeeded, in
+  // view or through the broker; otherwise it is failed and never served.
+  pool.set_result_callback([&](const watchit::ResolvedTicket& r) {
+    for (const watchit::OpReplayResult& op : r.replays) {
+      if (!op.in_view && !op.broker_ok) {
+        unsatisfied.fetch_add(1, std::memory_order_relaxed);
+        return;
+      }
+    }
     size_t i = static_cast<size_t>(std::stoull(r.ticket.id.substr(1)));
     if (i < served_ns.size()) {
       served_ns[i] = NowNs();
@@ -103,6 +113,7 @@ inline PoolResult RunPoolPhase(Env* env, const std::vector<witload::GeneratedTic
   pool.Drain();
   result.warmup_s = static_cast<double>(NowNs() - warm_start) / 1e9;
   const witserve::ServerPool::Stats warm = pool.stats();
+  const uint64_t warm_unsatisfied = unsatisfied.load();
   const double heap0 = LiveHeapBytes();
 
   const uint64_t start = NowNs();
@@ -158,8 +169,9 @@ inline PoolResult RunPoolPhase(Env* env, const std::vector<witload::GeneratedTic
   const witserve::ServerPool::Stats stats = pool.stats();
 
   result.sent = end_index - phase.warmup;
-  result.served = stats.served - warm.served;
-  result.failed = stats.failed - warm.failed;
+  result.unsatisfied = unsatisfied.load() - warm_unsatisfied;
+  result.served = stats.served - warm.served - result.unsatisfied;
+  result.failed = stats.failed - warm.failed + result.unsatisfied;
   result.stolen = stats.stolen - warm.stolen;
   result.pool_submitted = stats.submitted;
   result.pool_served = stats.served;
@@ -189,6 +201,7 @@ inline PoolResult RunPoolPhase(Env* env, const std::vector<witload::GeneratedTic
 struct OpSample {
   Cmd::Kind kind;
   bool pb;  // went to the permission broker
+  bool ok;  // allowed (or, for kReplay, satisfied)
   float us;
 };
 
@@ -327,8 +340,8 @@ inline void AdminThread(Env* env, size_t t, size_t threads, const std::vector<Se
           ScopedSpan span(trace, CmdSpan(cmd.kind));
           ok = RunCmd(&session, cmd, k + c, &pb);
         }
-        out->ops.push_back({cmd.kind, pb, static_cast<float>(NowNs() - t0) / 1e3f});
-        if (cmd.kind != Cmd::kReplay && ok != cmd.expect_ok) {
+        out->ops.push_back({cmd.kind, pb, ok, static_cast<float>(NowNs() - t0) / 1e3f});
+        if (ok != cmd.expect_ok) {
           ++out->mismatches;
           if (out->first_mismatch.empty()) {
             out->first_mismatch = plan.ticket_class + " " + CmdKindName(cmd.kind) + " " +

@@ -17,7 +17,9 @@
 namespace witbench {
 
 // One admin command as planned: what to run and whether WatchIT must allow
-// it (kReplay has no fixed verdict: Replay() itself escalates).
+// it. A kReplay op must succeed, in view or through the broker: it is one of
+// the generator's required ops for the ticket's true class, replayed in that
+// class's container.
 struct Cmd {
   enum Kind : uint8_t { kRead, kWrite, kListDir, kConnect, kPb, kReplay };
   Kind kind = kRead;
@@ -25,6 +27,8 @@ struct Cmd {
   bool expect_ok = true;
   witload::RequiredOp op;  // kReplay only
 };
+
+constexpr size_t kNumCmdKinds = Cmd::kReplay + 1;
 
 inline const char* CmdKindName(Cmd::Kind kind) {
   switch (kind) {
@@ -105,6 +109,18 @@ const T& Pick(std::mt19937_64& rng, const std::vector<T>& from) {
 // writes of the same files, so read-path caching and write invalidation
 // both show; every command's verdict is fixed by the class view.
 // With `signature` the images scan content, so a blob*.dat read is denied.
+//
+// The shares below are a layer-coverage mix, not measured admin traffic:
+// no trace of real in-container sessions exists to draw them from (the
+// generator's required ops and the audited script corpus hold no listings,
+// scanned reads or denied probes). Each share only makes sure its layer is
+// exercised often enough for exact percentiles: in-view reads 25%, writes
+// 12%, reads of just-written files 8%, listdir 10%, text reads under the
+// signature scan 10%, signature-denied reads 5%, policy-denied reads 8%,
+// allowed connects 6%, denied connects 4%, granted PB 7%, denied PB 5%
+// (a class with no allowed connect or PB verb redraws). The benchmark
+// prints every kind's latency and share on its own, so a result can be
+// traced to the kind that moved rather than to the pooled figure.
 inline std::vector<Cmd> CommandStream(std::mt19937_64& rng, const ClassView& view, size_t n,
                                       bool signature) {
   std::vector<Cmd> cmds;

@@ -12,8 +12,8 @@ to stderr. The benchmark's stdout is passed through; its last line is one
 JSON object {"correct", "attempted", "failed", "metrics"}. Before that line
 is accepted, every metric name is checked against BENCHMARK.json: with
 --trace 0 the set must equal "end_to_end", with --trace 1 "per_layer".
---selftest builds and runs witbench_selftest (the benchmark's own
-arithmetic) with every metric name BENCHMARK.json lists.
+--selftest checks the benchmark's own arithmetic (witbench_selftest) and
+the result-line checks below, then exits; every run does the same first.
 """
 
 import argparse
@@ -25,7 +25,7 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
+NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,63}")
 TIMEOUT_S = 170
 
 
@@ -88,21 +88,61 @@ def run_checked(cmd):
 
 
 def check_result(line, expected):
-    """Returns the parsed result line, or exits when it breaks the format."""
+    """Returns the parsed result line; raises ValueError when it breaks the format."""
     try:
         result = json.loads(line)
     except ValueError:
-        fail("last line is not JSON", 4)
-    if set(result) != {"correct", "attempted", "failed", "metrics"}:
-        fail("result keys are %s" % sorted(result), 4)
+        raise ValueError("last line is not JSON")
+    if not isinstance(result, dict) or set(result) != {"correct", "attempted", "failed",
+                                                       "metrics"}:
+        raise ValueError("result keys are not correct, attempted, failed, metrics")
     names = set(result["metrics"])
-    bad = sorted(n for n in names if not NAME_RE.match(n))
+    bad = sorted(n for n in names if not NAME_RE.fullmatch(n))
     if bad:
-        fail("metric names outside [A-Za-z0-9_.-]: %s" % bad, 4)
+        raise ValueError("metric names outside [A-Za-z0-9_.-]: %s" % bad)
     if names != expected:
-        fail("metrics differ from BENCHMARK.json: missing %s, extra %s"
-             % (sorted(expected - names), sorted(names - expected)), 4)
+        raise ValueError("metrics differ from BENCHMARK.json: missing %s, extra %s"
+                         % (sorted(expected - names), sorted(names - expected)))
     return result
+
+
+def selftest(spec):
+    """Checks the metric-name rule and check_result; returns the failures."""
+    failures = []
+
+    def check(ok, what):
+        if not ok:
+            failures.append(what)
+
+    for name in ("tickets_per_s", "deploy.image_lookup_us", "a-b_c.9", "9x"):
+        check(NAME_RE.fullmatch(name), "name %r is valid" % name)
+    for name in ("", ".lead", "-lead", "has space", "slash/x", "a" * 65, "t\u00e9", "x\n"):
+        check(not NAME_RE.fullmatch(name), "name %r is refused" % name)
+    for section in ("end_to_end", "per_layer"):
+        for m in spec[section]:
+            check(NAME_RE.fullmatch(m["name"]), "BENCHMARK.json name %r is valid" % m["name"])
+
+    def rejects(line, expected):
+        try:
+            check_result(line, expected)
+        except ValueError:
+            return True
+        return False
+
+    def line(metrics):
+        return json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                           "metrics": {n: {"value": 1.5, "unit": "s"} for n in metrics}})
+
+    expected = {"a_s", "b.ms"}
+    check(check_result(line(["a_s", "b.ms"]), expected)["attempted"] == 1,
+          "a line with exactly the expected names passes")
+    check(rejects(line(["a_s"]), expected), "a missing metric is refused")
+    check(rejects(line(["a_s", "b.ms", "c"]), expected), "an extra metric is refused")
+    check(rejects(line(["a_s", "b ms"]), {"a_s", "b ms"}), "a malformed name is refused")
+    check(rejects("correct=true", expected), "a line that is not JSON is refused")
+    check(rejects(json.dumps({"correct": True, "metrics": {}}), set()),
+          "a line without attempted/failed is refused")
+    return failures
 
 
 def main():
@@ -117,10 +157,14 @@ def main():
     spec = load_spec()
     workloads = [w["name"] for w in spec["workloads"]]
     out = build()
-    all_names = [m["name"] for m in spec["end_to_end"] + spec["per_layer"]]
-    code, _ = run_checked([os.path.join(out, "witbench_selftest")] + all_names)
+    code, _ = run_checked([os.path.join(out, "witbench_selftest")])
     if code != 0:
         fail("witbench_selftest failed", 6)
+    failures = selftest(spec)
+    for what in failures:
+        print("witbench: selftest FAIL: " + what, file=sys.stderr)
+    if failures:
+        fail("run.py selftest failed", 6)
     if args.selftest:
         return 0
     if args.workload not in workloads:
@@ -135,7 +179,10 @@ def main():
     if not lines:
         fail("benchmark printed nothing", 4)
     section = "per_layer" if args.trace else "end_to_end"
-    result = check_result(lines[-1], {m["name"] for m in spec[section]})
+    try:
+        result = check_result(lines[-1], {m["name"] for m in spec[section]})
+    except ValueError as e:
+        fail(str(e), 4)
     if code != 0 or not result["correct"]:
         fail("correctness gate failed (exit %d)" % code, 3)
     return 0

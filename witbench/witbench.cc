@@ -123,6 +123,8 @@ struct OpSegment {
   double ops_per_s = 0.0;
   std::vector<double> ops_us;
   std::vector<double> pb_us;
+  // Per command kind and verdict: index 2 * kind + (allowed ? 0 : 1).
+  std::vector<std::vector<double>> by_kind = std::vector<std::vector<double>>(2 * kNumCmdKinds);
 };
 
 OpSegment OpMetrics(const AdminResult& r) {
@@ -133,6 +135,7 @@ OpSegment OpMetrics(const AdminResult& r) {
       if (s.pb) {
         seg.pb_us.push_back(s.us);
       }
+      seg.by_kind[2 * s.kind + (s.ok ? 0 : 1)].push_back(s.us);
     }
   }
   seg.ops_per_s = r.wall_s > 0 ? static_cast<double>(seg.ops_us.size()) / r.wall_s : 0.0;
@@ -156,10 +159,27 @@ void AddOpMetrics(const std::vector<OpSegment>& segs, Metrics* m) {
     all.insert(all.end(), s.ops_us.begin(), s.ops_us.end());
     pb.insert(pb.end(), s.pb_us.begin(), s.pb_us.end());
   }
+  const size_t total = all.size();
   const Summary ops = Summarize(std::move(all));
   const Summary pbs = Summarize(std::move(pb));
   PrintSummary("op latency", "us", ops);
   PrintSummary("pb round trip", "us", pbs);
+  // The command mix sets how much each kind weighs in the pooled figures
+  // above, so every kind is printed on its own with its share.
+  for (size_t k = 0; k < 2 * kNumCmdKinds; ++k) {
+    std::vector<double> kind;
+    for (const OpSegment& s : segs) {
+      kind.insert(kind.end(), s.by_kind[k].begin(), s.by_kind[k].end());
+    }
+    if (kind.empty()) {
+      continue;
+    }
+    const double share = 100.0 * static_cast<double>(kind.size()) / static_cast<double>(total);
+    const std::string what = std::string("  ") + CmdKindName(static_cast<Cmd::Kind>(k / 2)) +
+                             (k % 2 == 0 ? " allowed" : " denied") + " " +
+                             std::to_string(static_cast<int>(share + 0.5)) + "%";
+    PrintSummary(what.c_str(), "us", Summarize(std::move(kind)));
+  }
   m->Add("ops_per_s", MedianOf(segs, [](const OpSegment& s) { return s.ops_per_s; }), "1/s");
   m->Add("op_p50_us", ops.p50, "us");
   m->Add("op_p99_us", ops.p99, "us");
@@ -225,7 +245,7 @@ void RunTicketWorkload(const Args& args, Report* report) {
   // Open loop at the fixed offered rate.
   std::vector<Summary> lat;
   std::vector<double> late;
-  uint64_t open_sent = 0, open_served = 0, open_failed = 0, refused = 0;
+  uint64_t open_sent = 0, open_served = 0, open_failed = 0, refused = 0, open_unsatisfied = 0;
   uint32_t open_segments = 0;
   auto open_segment = [&] {
     auto env = BuildEnv(env_options);
@@ -241,6 +261,7 @@ void RunTicketWorkload(const Args& args, Report* report) {
     open_served += r.served;
     open_failed += r.failed;
     refused += r.refused;
+    open_unsatisfied += r.unsatisfied;
     lat.push_back(Summarize(std::move(r.latency_ms)));
     late.insert(late.end(), r.late_ms.begin(), r.late_ms.end());
   };
@@ -265,26 +286,29 @@ void RunTicketWorkload(const Args& args, Report* report) {
     admin_segment();
   });
 
-  uint64_t sent = 0, served = 0, failed = 0, busy = 0;
+  uint64_t sent = 0, served = 0, failed = 0, busy = 0, unsatisfied = 0;
   for (const PoolResult& r : sat) {
     sent += r.sent;
     served += r.served;
     failed += r.failed;
     busy += r.busy_retries;
+    unsatisfied += r.unsatisfied;
   }
   const double tickets_per_s = MedianOf(sat, [](const PoolResult& r) { return r.tickets_per_s; });
   const double heap = MedianOf(sat, [](const PoolResult& r) { return r.heap_kb_per_ticket; });
   PrintPhase("saturated", sent, served, failed);
-  std::printf("  saturated: %zu segment(s) of %zu tickets, busy retries %llu, median %.1f "
-              "tickets/s, heap %.3f KB/ticket\n",
+  std::printf("  saturated: %zu segment(s) of %zu tickets, busy retries %llu, unsatisfied "
+              "tickets %llu, median %.1f tickets/s, heap %.3f KB/ticket\n",
               sat.size(), kSaturatedTickets, static_cast<unsigned long long>(busy),
-              tickets_per_s, heap);
+              static_cast<unsigned long long>(unsatisfied), tickets_per_s, heap);
   report->attempted += sent;
   report->failed += failed;
 
   PrintPhase("open_loop", open_sent, open_served, open_failed + refused);
-  std::printf("  open loop at %.0f tickets/s offered, EBUSY refusals %llu (counted as missed)\n",
-              rate, static_cast<unsigned long long>(refused));
+  std::printf("  open loop at %.0f tickets/s offered, EBUSY refusals %llu, unsatisfied tickets "
+              "%llu (both counted as missed)\n",
+              rate, static_cast<unsigned long long>(refused),
+              static_cast<unsigned long long>(open_unsatisfied));
   size_t lat_n = 0, lat_missed = 0;
   double lat_supported = 100.0;
   for (const Summary& seg : lat) {
