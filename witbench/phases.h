@@ -230,7 +230,9 @@ struct AdminResult {
 
 // Mean wall per deployment over each thread's last tenth of deployments
 // divided by its first tenth (1.0 = cost independent of history). The loop
-// is closed, so no queueing enters either tenth.
+// is closed, so no queueing enters either tenth. Means, not medians: the
+// deployments mix classes of very different cost, and a median jumps
+// between their modes with the seed's plan order.
 inline double CostGrowth(const std::vector<AdminThreadOut>& threads) {
   double first = 0.0;
   double last = 0.0;

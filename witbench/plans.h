@@ -225,15 +225,17 @@ class InputHash {
 // ---------------------------------------------------------------------------
 // Workload parameters.
 
-// Open-loop offered rates, fixed at about 38% of the tickets_per_s each
+// Open-loop offered rates, fixed at about 19% of the tickets_per_s each
 // workload's saturated phase reached when the benchmark was defined (4-core
 // VM, RelWithDebInfo: helpdesk ~5300/s, deploy_churn ~6300/s). Never
 // rescaled: a faster pool shows up as lower latency at the same rate. The
-// box's capacity dips by 20-30% for stretches of 100 ms to seconds; at 70%
-// and at 50% offered load those dips pushed the pool into queueing and the
-// p99 swung up to tenfold between runs, so the fixed point sits lower.
-constexpr double kHelpdeskRate = 2000.0;
-constexpr double kChurnRate = 2400.0;
+// shared host runs up to twice as slow for stretches of seconds (host.h).
+// At 70%, 50% and 38% offered load such a stretch pushed the pool into
+// queueing, and the p50 of a segment rose up to fivefold, which no linear
+// scaling undoes; at 19% even a twice-slower host leaves the pool under 40%
+// busy.
+constexpr double kHelpdeskRate = 1000.0;
+constexpr double kChurnRate = 1200.0;
 
 constexpr size_t kAdminThreads = 4;
 constexpr size_t kAdminCommands = 300;  // commands per admin_session deployment
@@ -241,13 +243,13 @@ constexpr size_t kAdminCommands = 300;  // commands per admin_session deployment
 // Every phase runs in segments of a fixed amount of work, each on a fresh
 // organization, until the phase's share of --seconds is used up; a fixed
 // count keeps the history each segment accumulates the same on every run.
-// Rates and the open-loop ticket latency are computed per segment and
-// reported as the median over segments, so a stretch of host noise that
-// spoils a few segments does not move them; command latency percentiles
-// are exact over the raw samples of all segments together (PB escalations
-// are too rare in helpdesk for a per-segment p99).
+// Rates and latencies are computed per segment and reported as the median
+// over segments, so a stretch of host noise that spoils a few segments does
+// not move them. The PB round trip is the exception: its p99 is exact over
+// the raw samples of all segments together (PB escalations are too rare in
+// a helpdesk segment for a p99 of its own).
 constexpr size_t kSaturatedTickets = 4000;
-constexpr size_t kOpenLoopTickets = 3000;
+constexpr size_t kOpenLoopTickets = 1500;
 // Tickets the traced ledger pass drives (every other one with spans).
 constexpr size_t kLedgerTickets = 6000;
 

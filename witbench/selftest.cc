@@ -1,12 +1,13 @@
-// Tests for witbench's own arithmetic (ledger.h): the percentile rule, span
-// self time with overlapping children, the reconciliation and the input
-// fingerprint. Exits nonzero when any check failed. Metric names are
+// Tests for witbench's own arithmetic (ledger.h, host.h): the percentile
+// rule, span self time with overlapping children, the reconciliation, the
+// input fingerprint and the host-slowdown scaling. Exits nonzero when any check failed. Metric names are
 // checked by run.py, which emits and validates them.
 
 #include <cmath>
 #include <cstdio>
 #include <vector>
 
+#include "witbench/host.h"
 #include "witbench/ledger.h"
 
 namespace {
@@ -87,6 +88,19 @@ void TestFingerprint() {
   Check(witbench::Fnv1a("a") != witbench::Fnv1a("b"), "fnv separates inputs");
 }
 
+void TestHostSlowdown() {
+  const double ref = witbench::kReferenceProbeMs;
+  Check(Near(witbench::HostSlowdown(ref, ref), 1.0), "probes at the reference give 1");
+  Check(Near(witbench::HostSlowdown(ref, 2 * ref), 1.5), "a segment takes the mean of its probes");
+  witbench::HostProbe probe(2);
+  int runs = 0;
+  const double first = probe.Time([&] { ++runs; });
+  const double second = probe.Time([&] { ++runs; });
+  Check(runs == 2, "Time runs the segment once");
+  Check(first > 0.0 && second > 0.0 && std::isfinite(first) && std::isfinite(second),
+        "slowdowns are positive and finite");
+}
+
 }  // namespace
 
 int main() {
@@ -94,6 +108,7 @@ int main() {
   TestSelfTime();
   TestReconcile();
   TestFingerprint();
+  TestHostSlowdown();
   if (failures != 0) {
     std::fprintf(stderr, "witbench_selftest: %d failure(s)\n", failures);
     return 1;

@@ -7,7 +7,8 @@
 // metric; --trace 1 drives the same inputs through the public functions on
 // the benchmark's own threads, with spans, and prints the per-layer ledger.
 // Every time is taken outside the program, around calls into its modules;
-// the program itself is unchanged. The last stdout line is one JSON object:
+// the program itself is unchanged. End-to-end times and rates are scaled to
+// a reference host speed measured between segments (host.h). The last stdout line is one JSON object:
 // {"correct", "attempted", "failed", "metrics"}. Exit code 0 only when the
 // correctness gate held.
 
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "witbench/env.h"
+#include "witbench/host.h"
 #include "witbench/layers.h"
 #include "witbench/ledger.h"
 #include "witbench/phases.h"
@@ -125,6 +127,21 @@ struct OpSegment {
   std::vector<double> pb_us;
   // Per command kind and verdict: index 2 * kind + (allowed ? 0 : 1).
   std::vector<std::vector<double>> by_kind = std::vector<std::vector<double>>(2 * kNumCmdKinds);
+
+  // Scales the segment to the reference host speed (see host.h).
+  void Scale(double slowdown) {
+    ops_per_s *= slowdown;
+    for (std::vector<double>* v : {&ops_us, &pb_us}) {
+      for (double& x : *v) {
+        x /= slowdown;
+      }
+    }
+    for (auto& v : by_kind) {
+      for (double& x : v) {
+        x /= slowdown;
+      }
+    }
+  }
 };
 
 OpSegment OpMetrics(const AdminResult& r) {
@@ -162,7 +179,7 @@ void AddOpMetrics(const std::vector<OpSegment>& segs, Metrics* m) {
   const size_t total = all.size();
   const Summary ops = Summarize(std::move(all));
   const Summary pbs = Summarize(std::move(pb));
-  PrintSummary("op latency", "us", ops);
+  PrintSummary("op latency, pooled", "us", ops);
   PrintSummary("pb round trip", "us", pbs);
   // The command mix sets how much each kind weighs in the pooled figures
   // above, so every kind is printed on its own with its share.
@@ -180,9 +197,24 @@ void AddOpMetrics(const std::vector<OpSegment>& segs, Metrics* m) {
                              std::to_string(static_cast<int>(share + 0.5)) + "%";
     PrintSummary(what.c_str(), "us", Summarize(std::move(kind)));
   }
+  // Every segment holds enough commands for an exact p99 of its own, so the
+  // command percentiles are medians over segments, like the rates; PB
+  // escalations are too rare in a helpdesk segment and stay pooled.
+  std::vector<Summary> per_segment;
+  for (const OpSegment& s : segs) {
+    per_segment.push_back(Summarize(s.ops_us));
+  }
+  const double p50 = MedianOf(per_segment, [](const Summary& s) { return s.p50; });
+  const double p99 = MedianOf(per_segment, [](const Summary& s) { return s.p99; });
+  std::printf("  %-22s median over %zu segment(s) p50=%.4g p99=%.4g us (highest pct supported "
+              "in every segment %.3f)\n",
+              "op latency", per_segment.size(), p50, p99,
+              std::min_element(per_segment.begin(), per_segment.end(),
+                               [](const Summary& a, const Summary& b) { return a.n < b.n; })
+                  ->supported_pct);
   m->Add("ops_per_s", MedianOf(segs, [](const OpSegment& s) { return s.ops_per_s; }), "1/s");
-  m->Add("op_p50_us", ops.p50, "us");
-  m->Add("op_p99_us", ops.p99, "us");
+  m->Add("op_p50_us", p50, "us");
+  m->Add("op_p99_us", p99, "us");
   m->Add("pb_p99_us", pbs.p99, "us");
 }
 
@@ -200,6 +232,24 @@ void Segments(double budget_s, F&& segment) {
       return;
     }
   }
+}
+
+// Runs one segment between host probes; `segment` returns its raw set-up
+// seconds. Records the scaled set-up time and returns the slowdown.
+template <typename F>
+double ProbedSegment(HostProbe* host, Report* report, F&& segment) {
+  double setup_s = 0.0;
+  const double slowdown = host->Time([&] { setup_s = segment(); });
+  report->setups.push_back(setup_s / slowdown);
+  return slowdown;
+}
+
+void PrintHost(const std::vector<double>& slowdowns) {
+  std::printf("  host slowdown over %.1f ms/probe: median %.3f, min %.3f, max %.3f over %zu "
+              "segment(s); every time and rate below is scaled by it\n",
+              kReferenceProbeMs, Median(slowdowns),
+              *std::min_element(slowdowns.begin(), slowdowns.end()),
+              *std::max_element(slowdowns.begin(), slowdowns.end()), slowdowns.size());
 }
 
 // helpdesk and deploy_churn: saturated pool, open-loop pool and admin
@@ -239,8 +289,8 @@ void RunTicketWorkload(const Args& args, Report* report) {
     phase.tickets = kSaturatedTickets;
     phase.seed = args.seed + 1000 * static_cast<uint32_t>(sat.size());
     sat.push_back(RunPoolPhase(env.get(), tickets, phase));
-    report->setups.push_back(env->setup_s + sat.back().warmup_s);
     GatePool(env.get(), "saturated", sat.back(), &report->gate);
+    return env->setup_s + sat.back().warmup_s;
   };
   // Open loop at the fixed offered rate.
   std::vector<Summary> lat;
@@ -255,7 +305,6 @@ void RunTicketWorkload(const Args& args, Report* report) {
     phase.tickets = kOpenLoopTickets;
     phase.seed = args.seed + 1000 * open_segments++;
     PoolResult r = RunPoolPhase(env.get(), tickets, phase);
-    report->setups.push_back(env->setup_s + r.warmup_s);
     GatePool(env.get(), "open_loop", r, &report->gate);
     open_sent += r.sent;
     open_served += r.served;
@@ -264,6 +313,7 @@ void RunTicketWorkload(const Args& args, Report* report) {
     open_unsatisfied += r.unsatisfied;
     lat.push_back(Summarize(std::move(r.latency_ms)));
     late.insert(late.end(), r.late_ms.begin(), r.late_ms.end());
+    return env->setup_s + r.warmup_s;
   };
   // Admin threads working the workload's deployments.
   std::vector<OpSegment> ops;
@@ -273,18 +323,23 @@ void RunTicketWorkload(const Args& args, Report* report) {
     auto env = BuildEnv(env_options);
     AdminResult r = RunAdminLoop(env.get(), plans, AdminSessionsPerThread(args.workload),
                                  /*traced=*/false);
-    report->setups.push_back(env->setup_s + r.warmup_s);
     GateAdmin(env.get(), "admin", r, &report->gate);
     growth.push_back(r.cost_growth);
     ops.push_back(OpMetrics(r));
     cmds += r.cmds;
     mismatches += r.mismatches;
+    return env->setup_s + r.warmup_s;
   };
+  HostProbe host(kAdminThreads);
+  std::vector<double> sat_slow, open_slow, slowdowns;
   Segments(args.seconds, [&] {
-    saturated_segment();
-    open_segment();
-    admin_segment();
+    sat_slow.push_back(ProbedSegment(&host, report, saturated_segment));
+    open_slow.push_back(ProbedSegment(&host, report, open_segment));
+    const double admin_slow = ProbedSegment(&host, report, admin_segment);
+    ops.back().Scale(admin_slow);
+    slowdowns.insert(slowdowns.end(), {sat_slow.back(), open_slow.back(), admin_slow});
   });
+  PrintHost(slowdowns);
 
   uint64_t sent = 0, served = 0, failed = 0, busy = 0, unsatisfied = 0;
   for (const PoolResult& r : sat) {
@@ -294,13 +349,18 @@ void RunTicketWorkload(const Args& args, Report* report) {
     busy += r.busy_retries;
     unsatisfied += r.unsatisfied;
   }
-  const double tickets_per_s = MedianOf(sat, [](const PoolResult& r) { return r.tickets_per_s; });
+  std::vector<double> rates;
+  for (size_t i = 0; i < sat.size(); ++i) {
+    rates.push_back(sat[i].tickets_per_s * sat_slow[i]);
+  }
+  const double tickets_per_s = Median(rates);
   const double heap = MedianOf(sat, [](const PoolResult& r) { return r.heap_kb_per_ticket; });
   PrintPhase("saturated", sent, served, failed);
   std::printf("  saturated: %zu segment(s) of %zu tickets, busy retries %llu, unsatisfied "
-              "tickets %llu, median %.1f tickets/s, heap %.3f KB/ticket\n",
+              "tickets %llu, median %.1f tickets/s (%.1f unscaled), heap %.3f KB/ticket\n",
               sat.size(), kSaturatedTickets, static_cast<unsigned long long>(busy),
-              static_cast<unsigned long long>(unsatisfied), tickets_per_s, heap);
+              static_cast<unsigned long long>(unsatisfied), tickets_per_s,
+              MedianOf(sat, [](const PoolResult& r) { return r.tickets_per_s; }), heap);
   report->attempted += sent;
   report->failed += failed;
 
@@ -311,16 +371,19 @@ void RunTicketWorkload(const Args& args, Report* report) {
               static_cast<unsigned long long>(open_unsatisfied));
   size_t lat_n = 0, lat_missed = 0;
   double lat_supported = 100.0;
-  for (const Summary& seg : lat) {
-    lat_n += seg.n;
-    lat_missed += seg.missed;
-    lat_supported = std::min(lat_supported, seg.supported_pct);
+  std::vector<double> p50s, p99s;
+  for (size_t i = 0; i < lat.size(); ++i) {
+    lat_n += lat[i].n;
+    lat_missed += lat[i].missed;
+    lat_supported = std::min(lat_supported, lat[i].supported_pct);
+    p50s.push_back(lat[i].p50 / open_slow[i]);
+    p99s.push_back(lat[i].p99 / open_slow[i]);
   }
-  const double p50 = MedianOf(lat, [](const Summary& seg) { return seg.p50; });
-  const double p99 = MedianOf(lat, [](const Summary& seg) { return seg.p99; });
+  const double p50 = Median(p50s);
   std::printf("  %-22s %zu segment(s), n=%zu missed=%zu, median over segments p50=%.4g "
-              "p99=%.4g ms (highest pct supported in every segment %.3f)\n",
-              "ticket due->served", lat.size(), lat_n, lat_missed, p50, p99, lat_supported);
+              "p99=%.4g ms (unscaled p50=%.4g; highest pct supported in every segment %.3f)\n",
+              "ticket due->served", lat.size(), lat_n, lat_missed, p50, Median(p99s),
+              MedianOf(lat, [](const Summary& seg) { return seg.p50; }), lat_supported);
   PrintSummary("generator lateness", "ms", Summarize(std::move(late)));
   report->attempted += open_sent;
   report->failed += open_failed + refused;
@@ -360,22 +423,32 @@ void RunAdminWorkload(const Args& args, Report* report) {
   std::vector<double> growth;
   std::vector<OpSegment> ops;
   uint64_t cmds = 0, mismatches = 0;
+  HostProbe host(kAdminThreads);
+  std::vector<double> slowdowns;
   Segments(args.seconds, [&] {
-    auto env = BuildEnv(env_options);
-    AdminResult r = RunAdminLoop(env.get(), plans, AdminSessionsPerThread(args.workload),
-                                 /*traced=*/false);
-    report->setups.push_back(env->setup_s + r.warmup_s);
-    GateAdmin(env.get(), "admin_session", r, &report->gate);
+    AdminResult r;
+    const double slowdown = ProbedSegment(&host, report, [&] {
+      auto env = BuildEnv(env_options);
+      r = RunAdminLoop(env.get(), plans, AdminSessionsPerThread(args.workload),
+                       /*traced=*/false);
+      GateAdmin(env.get(), "admin_session", r, &report->gate);
+      return env->setup_s + r.warmup_s;
+    });
+    slowdowns.push_back(slowdown);
     for (const auto& t : r.threads) {
-      walls.insert(walls.end(), t.session_ms.begin(), t.session_ms.end());
+      for (double ms : t.session_ms) {
+        walls.push_back(ms / slowdown);
+      }
     }
-    tps.push_back(r.wall_s > 0 ? static_cast<double>(r.sessions) / r.wall_s : 0.0);
+    tps.push_back(r.wall_s > 0 ? static_cast<double>(r.sessions) / r.wall_s * slowdown : 0.0);
     heap.push_back(r.heap_kb_per_ticket);
     growth.push_back(r.cost_growth);
     ops.push_back(OpMetrics(r));
+    ops.back().Scale(slowdown);
     cmds += r.cmds;
     mismatches += r.mismatches;
   });
+  PrintHost(slowdowns);
   PrintPhase("admin_session", cmds, cmds - mismatches, mismatches);
   std::printf("  %zu segment(s) of %zu deployments per thread\n", tps.size(),
               AdminSessionsPerThread(args.workload));
