@@ -1,5 +1,7 @@
 #include "src/container/containit.h"
 
+#include <set>
+
 #include "src/fs/fuse.h"
 #include "src/os/path.h"
 #include "src/os/procfs.h"
@@ -99,8 +101,9 @@ witos::Status ContainIt::SetupFilesystemView(Session* session) {
   const PerforatedContainerSpec& spec = session->spec;
   witos::Pid worker = session->host_worker;
 
-  session->confs_path = "/ConFS-" + std::to_string(session->id);
-  WITOS_RETURN_IF_ERROR(kernel_->MkDir(worker, session->confs_path));
+  std::string confs_path = "/ConFS-" + std::to_string(session->id);
+  WITOS_RETURN_IF_ERROR(kernel_->MkDir(worker, confs_path));
+  session->confs_path = std::move(confs_path);  // ours to remove from here on
 
   switch (spec.fs.kind) {
     case FsView::Kind::kWholeRoot: {
@@ -239,7 +242,7 @@ witos::Result<SessionId> ContainIt::Deploy(const PerforatedContainerSpec& spec,
 
   witos::Status built = BuildSession(session.get());
   if (!built.ok()) {
-    AbortPartialSession(session.get());
+    ReleaseSession(session.get());
     kernel_->audit().Append(witos::AuditEvent::kContainerTerminated, session->container_init,
                             witos::kRootUid, spec.name + ": deploy aborted",
                             kernel_->clock().now_ns());
@@ -253,6 +256,7 @@ witos::Result<SessionId> ContainIt::Deploy(const PerforatedContainerSpec& spec,
                           spec.name + " ticket=" + ticket_id + " admin=" + admin,
                           kernel_->clock().now_ns());
   SessionId id = session->id;
+  IndexSession(session.get());
   sessions_.emplace(id, std::move(session));
   return id;
 }
@@ -338,16 +342,92 @@ witos::Status ContainIt::BuildSession(Session* session) {
   return witos::Status::Ok();
 }
 
-void ContainIt::AbortPartialSession(Session* session) {
-  for (witos::Pid pid : {session->shell, session->container_init, session->itfs_daemon,
-                         session->sniffer_daemon, session->host_worker}) {
-    if (pid != witos::kNoPid && kernel_->ProcessAlive(pid)) {
-      (void)kernel_->Exit(pid, -1);
+void ContainIt::IndexSession(Session* session) {
+  for (witos::Pid pid : {session->host_worker, session->itfs_daemon, session->sniffer_daemon}) {
+    if (pid != witos::kNoPid) {
+      by_peer_pid_.emplace(pid, session);
     }
   }
+  by_ticket_.emplace(session->ticket_id, session);
+}
+
+void ContainIt::UnindexSession(Session* session) {
+  for (witos::Pid pid : {session->host_worker, session->itfs_daemon, session->sniffer_daemon}) {
+    auto it = by_peer_pid_.find(pid);
+    if (it != by_peer_pid_.end() && it->second == session) {
+      by_peer_pid_.erase(it);
+    }
+  }
+  auto [first, last] = by_ticket_.equal_range(session->ticket_id);
+  for (auto it = first; it != last; ++it) {
+    if (it->second == session) {
+      by_ticket_.erase(it);
+      break;
+    }
+  }
+}
+
+void ContainIt::ReleaseSession(Session* session) {
+  // Unindex first: the Exits below re-enter OnProcessDeath, which must no
+  // longer find this session.
+  UnindexSession(session);
+
+  witos::NsId net_ns = witos::kNoNs;
+  const witos::Process* init = kernel_->FindProcess(session->container_init);
+  if (init != nullptr && session->spec.IsolatesNs(witos::NsType::kNet)) {
+    net_ns = init->ns.Get(witos::NsType::kNet);
+  }
+
+  // Everything the container spawned, children before parents, then the
+  // host-side peers and the worker. Each process is reaped as soon as it
+  // dies: a zombie would stay in the process table and in every `ps` for
+  // the rest of the run.
+  std::vector<witos::Pid> pids;
+  std::set<witos::Pid> seen;
+  auto collect = [&](auto& self, witos::Pid pid) -> void {
+    const witos::Process* proc = kernel_->FindProcess(pid);
+    if (proc == nullptr || !seen.insert(pid).second) {
+      return;
+    }
+    for (witos::Pid child : proc->children) {
+      self(self, child);
+    }
+    pids.push_back(pid);
+  };
+  // The shell is walked on its own: if container init died first (the admin
+  // can `kill 1` inside its PID namespace), the shell is a child of host
+  // init and no longer under container init.
+  collect(collect, session->shell);
+  collect(collect, session->container_init);
+  // With its own PID namespace, every container process is a member, orphans
+  // included, wherever it now sits in the tree.
+  if (init != nullptr && session->spec.IsolatesNs(witos::NsType::kPid)) {
+    witos::NsId pid_ns = init->ns.Get(witos::NsType::kPid);
+    if (kernel_->namespaces().Exists(pid_ns)) {
+      for (const auto& [host_pid, local] : kernel_->namespaces().Pidns(pid_ns).host_to_local) {
+        collect(collect, host_pid);
+      }
+    }
+  }
+  for (witos::Pid pid : {session->itfs_daemon, session->sniffer_daemon, session->host_worker}) {
+    pids.push_back(pid);
+  }
+  for (witos::Pid pid : pids) {
+    if (kernel_->ProcessAlive(pid)) {
+      (void)kernel_->Exit(pid, -1);
+    }
+    (void)kernel_->Reap(pid);
+  }
+
+  // Figure 5c teardown: the session's mounts leave the host table and its
+  // mountpoint leaves the host root.
   if (!session->confs_path.empty()) {
     (void)kernel_->vfs().RemoveMountsUnder(
         kernel_->namespaces().initial(witos::NsType::kMnt), session->confs_path);
+    (void)kernel_->RmDir(kernel_->init_pid(), session->confs_path);
+  }
+  if (net_ != nullptr && net_ns != witos::kNoNs) {
+    net_->namespaces().Erase(net_ns);
   }
   if (session->cgroup != witos::kRootCgroup) {
     kernel_->cgroups().Remove(session->cgroup);
@@ -365,12 +445,8 @@ const Session* ContainIt::FindSession(SessionId id) const {
 }
 
 Session* ContainIt::FindSessionByTicket(const std::string& ticket_id) {
-  for (auto& [id, session] : sessions_) {
-    if (session->ticket_id == ticket_id && session->active) {
-      return session.get();
-    }
-  }
-  return nullptr;
+  auto it = by_ticket_.lower_bound(ticket_id);
+  return it == by_ticket_.end() || it->first != ticket_id ? nullptr : it->second;
 }
 
 witos::Status ContainIt::Terminate(SessionId id, const std::string& reason) {
@@ -378,45 +454,31 @@ witos::Status ContainIt::Terminate(SessionId id, const std::string& reason) {
   if (session == nullptr || !session->active) {
     return witos::Err::kSrch;
   }
-  session->active = false;  // set first: the Exits below re-enter the hook
+  session->active = false;
   session->termination_reason = reason;
-  for (witos::Pid pid : {session->shell, session->container_init, session->itfs_daemon,
-                         session->sniffer_daemon, session->host_worker}) {
-    if (pid != witos::kNoPid && kernel_->ProcessAlive(pid)) {
-      (void)kernel_->Exit(pid, -1);
-    }
-  }
-  // Clean the session's mounts out of the host table (Figure 5c teardown).
-  if (!session->confs_path.empty()) {
-    (void)kernel_->vfs().RemoveMountsUnder(
-        kernel_->namespaces().initial(witos::NsType::kMnt), session->confs_path);
-  }
+  ReleaseSession(session);
   kernel_->audit().Append(witos::AuditEvent::kContainerTerminated, session->container_init,
                           witos::kRootUid, session->spec.name + ": " + reason,
                           kernel_->clock().now_ns());
-  kernel_->cgroups().Remove(session->cgroup);
   return witos::Status::Ok();
 }
 
 void ContainIt::OnProcessDeath(witos::Pid pid) {
-  if (terminating_) {
+  // Attack 7 defence: "ContainIT terminates the session if any of its
+  // peer processes are killed." The broker is every session's peer.
+  std::string reason = "peer process " + std::to_string(pid) + " died";
+  if (broker_ != nullptr && pid == broker_->host_pid()) {
+    for (const auto& [id, session] : sessions_) {
+      if (session->active) {
+        (void)Terminate(id, reason);
+      }
+    }
     return;
   }
-  terminating_ = true;
-  for (auto& [id, session] : sessions_) {
-    if (!session->active) {
-      continue;
-    }
-    bool peer_died = pid == session->itfs_daemon || pid == session->sniffer_daemon ||
-                     pid == session->host_worker ||
-                     (broker_ != nullptr && pid == broker_->host_pid());
-    if (peer_died) {
-      // Attack 7 defence: "ContainIT terminates the session if any of its
-      // peer processes are killed."
-      (void)Terminate(id, "peer process " + std::to_string(pid) + " died");
-    }
+  auto it = by_peer_pid_.find(pid);
+  if (it != by_peer_pid_.end()) {
+    (void)Terminate(it->second->id, reason);
   }
-  terminating_ = false;
 }
 
 witos::Status ContainIt::ShareDirectory(SessionId id, const std::string& host_dir,
@@ -438,6 +500,7 @@ witos::Status ContainIt::ShareDirectory(SessionId id, const std::string& host_di
   witos::Status status = kernel_->Setns(helper, session->container_init, witos::NsType::kMnt);
   if (!status.ok()) {
     (void)kernel_->Exit(helper, -1);
+    (void)kernel_->Reap(helper);
     return status.error();
   }
   // Stage 3: an independent ITFS bind mount, created from within the
@@ -453,6 +516,7 @@ witos::Status ContainIt::ShareDirectory(SessionId id, const std::string& host_di
   auto fuse = std::make_shared<witfs::FuseMount>(itfs, &kernel_->clock());
   status = kernel_->BindMount(helper, fuse, witos::NormalizePath(host_dir), norm, "itfs-bind");
   (void)kernel_->Exit(helper, 0);
+  (void)kernel_->Reap(helper);
   if (!status.ok()) {
     return status.error();
   }
@@ -482,14 +546,6 @@ witos::Status ContainIt::AllowNetworkEndpoint(SessionId id, witnet::Ipv4Addr add
   return witos::Status::Ok();
 }
 
-size_t ContainIt::active_sessions() const {
-  size_t n = 0;
-  for (const auto& [id, session] : sessions_) {
-    if (session->active) {
-      ++n;
-    }
-  }
-  return n;
-}
+size_t ContainIt::active_sessions() const { return by_ticket_.size(); }
 
 }  // namespace witcontain

@@ -108,12 +108,17 @@ class ContainIt {
  private:
   // Runs the Figure 5 recipe into `session` (clones, mounts, cgroup,
   // namespaces, peer daemons). On failure the session is only partially
-  // built; Deploy() unwinds it with AbortPartialSession.
+  // built; Deploy() unwinds it with ReleaseSession.
   witos::Status BuildSession(Session* session);
-  // Reverses whatever BuildSession managed to do: kills the cloned
-  // processes, removes the session's mounts from the host table and frees
-  // its cgroup. Safe on any prefix of the recipe.
-  void AbortPartialSession(Session* session);
+  // The one teardown path (Terminate and a failed Deploy both end here):
+  // drops the session from the active indexes, kills and reaps its
+  // processes, removes its mounts and /ConFS-<n> directory, erases its NET
+  // namespace payload and frees its cgroup. Safe on any prefix of the
+  // BuildSession recipe.
+  void ReleaseSession(Session* session);
+  // Active-session indexes; an inactive session is in neither.
+  void IndexSession(Session* session);
+  void UnindexSession(Session* session);
   witos::Status SetupFilesystemView(Session* session);
   witos::Status SetupNetworkView(Session* session);
   void OnProcessDeath(witos::Pid pid);
@@ -127,9 +132,13 @@ class ContainIt {
   witobs::Tracer* tracer_ = nullptr;
   size_t oplog_capacity_ = 0;
   std::map<SessionId, std::unique_ptr<Session>> sessions_;
+  // Watchdogged peer pid (host worker, itfs, snort) -> its active session.
+  std::map<witos::Pid, Session*> by_peer_pid_;
+  // Ticket id -> active sessions in deploy order; FindSessionByTicket
+  // answers with the oldest.
+  std::multimap<std::string, Session*> by_ticket_;
   SessionId next_id_ = 1;
   uint32_t next_container_addr_ = 1;
-  bool terminating_ = false;  // re-entrancy guard for the watchdog
 };
 
 }  // namespace witcontain

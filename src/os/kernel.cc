@@ -200,28 +200,52 @@ Status Kernel::Exit(Pid pid, int code) {
   p.state = ProcState::kZombie;
   p.exit_code = code;
   p.fds.clear();
-  // Reparent children to init.
-  for (Pid child : p.children) {
-    if (Process* c = FindProcess(child)) {
-      c->ppid = init_pid();
+  // Reparent children to init, which can then Wait for them.
+  if (pid != init_pid()) {
+    Process& init = Proc(init_pid());
+    for (Pid child : p.children) {
+      if (Process* c = FindProcess(child)) {
+        c->ppid = init_pid();
+        init.children.push_back(child);
+      }
     }
   }
   p.children.clear();
   ReleaseNamespaces(p);
+  // A death hook may reap `pid`: `p` must not be used past this point.
   NotifyDeath(pid);
+  return Status::Ok();
+}
+
+Status Kernel::Reap(Pid pid) {
+  auto it = procs_.find(pid);
+  if (it == procs_.end() || it->second.state != ProcState::kZombie) {
+    return Err::kSrch;
+  }
+  const Process& p = it->second;
+  if (Process* parent = FindProcess(p.ppid)) {
+    std::erase(parent->children, pid);
+  }
+  // The zombie's own PID namespace may already be gone (its last member
+  // died); the walk stops there, and the initial namespace, which always
+  // maps every pid, is cleaned explicitly.
+  for (NsId cur = p.ns.Get(NsType::kPid); cur != kNoNs && registry_.Exists(cur);) {
+    PidNamespace& ns = registry_.Pidns(cur);
+    ns.host_to_local.erase(pid);
+    cur = ns.parent;
+  }
+  registry_.Pidns(registry_.initial(NsType::kPid)).host_to_local.erase(pid);
+  procs_.erase(it);
   return Status::Ok();
 }
 
 Result<Pid> Kernel::Wait(Pid pid) {
   WITOS_RETURN_IF_ERROR(CheckAlive(pid));
-  Process& p = Proc(pid);
-  for (auto it = p.children.begin(); it != p.children.end(); ++it) {
-    Process* c = FindProcess(*it);
+  for (Pid child : Proc(pid).children) {
+    const Process* c = FindProcess(child);
     if (c != nullptr && c->state == ProcState::kZombie) {
-      Pid reaped = *it;
-      p.children.erase(it);
-      procs_.erase(reaped);
-      return reaped;
+      (void)Reap(child);
+      return child;
     }
   }
   return Err::kChild;

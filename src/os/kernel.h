@@ -82,6 +82,11 @@ class Kernel {
   Status Exit(Pid pid, int code);
   // Reaps one zombie child; returns its host pid or ECHILD.
   Result<Pid> Wait(Pid pid);
+  // Frees zombie `pid` on behalf of its parent: drops it from the parent's
+  // children, from every PID namespace that still maps it, and from the
+  // process table. ESRCH if `pid` is not a zombie. Host pids are never
+  // reused, so records that name a reaped pid stay unambiguous.
+  Status Reap(Pid pid);
   // kill(2): `target` is a pid *in the caller's PID namespace*.
   Status Kill(Pid pid, Pid target_local);
   // ps: processes visible from the caller's PID namespace, with translated

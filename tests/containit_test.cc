@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "src/container/spec.h"
+#include "src/core/cluster.h"
+#include "src/core/session.h"
 #include "src/net/network.h"
 
 namespace witcontain {
@@ -243,5 +245,163 @@ TEST_F(ContainItTest, MultipleConcurrentSessions) {
   EXPECT_EQ(containit_->FindSessionByTicket("TKT-1"), nullptr);
 }
 
+TEST_F(ContainItTest, PeerDeathTerminatesOnlyItsSession) {
+  auto a = containit_->Deploy(LicenseSpec(), "TKT-A", "alice");
+  auto b = containit_->Deploy(LicenseSpec(), "TKT-B", "bob");
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  Session* sa = containit_->FindSession(*a);
+  Session* sb = containit_->FindSession(*b);
+  ASSERT_TRUE(kernel_->Exit(sb->itfs_daemon, -9).ok());
+  EXPECT_FALSE(sb->active);
+  EXPECT_TRUE(sa->active);
+  EXPECT_EQ(containit_->active_sessions(), 1u);
+  EXPECT_EQ(containit_->FindSessionByTicket("TKT-A"), sa);
+  EXPECT_EQ(containit_->FindSessionByTicket("TKT-B"), nullptr);
+  // B's processes, the killed daemon included, are reaped; A's still run.
+  for (witos::Pid pid : {sb->shell, sb->container_init, sb->itfs_daemon, sb->sniffer_daemon,
+                         sb->host_worker}) {
+    EXPECT_EQ(kernel_->FindProcess(pid), nullptr) << pid;
+  }
+  EXPECT_TRUE(kernel_->ProcessAlive(sa->shell));
+  EXPECT_TRUE(kernel_->ProcessAlive(sa->itfs_daemon));
+  EXPECT_EQ(kernel_->audit().CountEvent(witos::AuditEvent::kContainerTerminated), 1u);
+}
+
+TEST_F(ContainItTest, TerminateReleasesEverythingTheSessionOwned) {
+  size_t processes = kernel_->process_count();
+  size_t net_payloads = net_->namespaces().size();
+  size_t mounts = kernel_->MountTable(1)->size();
+  auto id = containit_->Deploy(LicenseSpec(), "TKT-1", "alice");
+  ASSERT_TRUE(id.ok());
+  Session* session = containit_->FindSession(*id);
+  // A process the admin spawned inside the container goes down with it.
+  ASSERT_TRUE(kernel_->Clone(session->shell, "vim", 0).ok());
+  ASSERT_TRUE(containit_->ShareDirectory(*id, "/var/log", "/var/log").ok());
+  ASSERT_TRUE(containit_->Terminate(*id, "done").ok());
+  EXPECT_EQ(kernel_->process_count(), processes);
+  EXPECT_EQ(net_->namespaces().size(), net_payloads);
+  EXPECT_EQ(kernel_->MountTable(1)->size(), mounts);
+  EXPECT_EQ(kernel_->StatPath(1, session->confs_path).error(), witos::Err::kNoEnt);
+  EXPECT_EQ(kernel_->cgroups().Find(session->cgroup), nullptr);
+}
+
+TEST_F(ContainItTest, TerminateReachesTheShellAfterContainerInitIsKilled) {
+  size_t processes = kernel_->process_count();
+  auto id = containit_->Deploy(LicenseSpec(), "TKT-1", "alice");
+  ASSERT_TRUE(id.ok());
+  Session* session = containit_->FindSession(*id);
+  auto vim = kernel_->Clone(session->shell, "vim", 0);
+  ASSERT_TRUE(vim.ok());
+  // The admin kills the container's pid 1; the shell is handed to host init.
+  ASSERT_TRUE(kernel_->Kill(session->shell, 1).ok());
+  ASSERT_FALSE(kernel_->ProcessAlive(session->container_init));
+  ASSERT_EQ(kernel_->FindProcess(session->shell)->ppid, kernel_->init_pid());
+  ASSERT_TRUE(containit_->Terminate(*id, "done").ok());
+  EXPECT_EQ(kernel_->FindProcess(session->shell), nullptr);
+  EXPECT_EQ(kernel_->FindProcess(*vim), nullptr);
+  EXPECT_EQ(kernel_->FindProcess(session->container_init), nullptr);
+  EXPECT_EQ(kernel_->process_count(), processes);
+}
+
+TEST_F(ContainItTest, TerminateReachesOrphansOfTheShell) {
+  size_t processes = kernel_->process_count();
+  auto id = containit_->Deploy(LicenseSpec(), "TKT-1", "alice");
+  ASSERT_TRUE(id.ok());
+  Session* session = containit_->FindSession(*id);
+  auto vim = kernel_->Clone(session->shell, "vim", 0);
+  ASSERT_TRUE(vim.ok());
+  // The shell exits first; its child is handed to host init but stays in
+  // the container's PID namespace.
+  ASSERT_TRUE(kernel_->Exit(session->shell, 0).ok());
+  ASSERT_EQ(kernel_->FindProcess(*vim)->ppid, kernel_->init_pid());
+  ASSERT_TRUE(containit_->Terminate(*id, "done").ok());
+  EXPECT_EQ(kernel_->FindProcess(*vim), nullptr);
+  EXPECT_EQ(kernel_->FindProcess(session->shell), nullptr);
+  EXPECT_EQ(kernel_->process_count(), processes);
+}
+
 }  // namespace
 }  // namespace witcontain
+
+namespace watchit {
+namespace {
+
+// The active-session indexes as the broker verbs and the watchdog see them
+// on a booted machine.
+class ContainItIndexTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    machine_ = &cluster_.AddMachine("userpc", witnet::Ipv4Addr(10, 0, 1, 50));
+  }
+
+  Deployment Deploy(const std::string& ticket_id, const std::string& cls) {
+    Ticket ticket;
+    ticket.id = ticket_id;
+    ticket.target_machine = "userpc";
+    ticket.assigned_class = cls;
+    ticket.admin = "alice";
+    auto deployment = manager_.Deploy(ticket);
+    EXPECT_TRUE(deployment.ok());
+    return *deployment;
+  }
+
+  witcontain::ContainIt& containit() { return machine_->containit(); }
+
+  Cluster cluster_;
+  ClusterManager manager_{&cluster_};
+  Machine* machine_ = nullptr;
+};
+
+TEST_F(ContainItIndexTest, BrokerDeathTerminatesEveryActiveSession) {
+  Deployment expired = Deploy("TKT-OLD", "T-1");
+  ASSERT_TRUE(manager_.Expire(&expired).ok());
+  Deployment a = Deploy("TKT-A", "T-1");
+  Deployment b = Deploy("TKT-B", "T-3");
+  ASSERT_EQ(containit().active_sessions(), 2u);
+  ASSERT_TRUE(machine_->kernel().Exit(machine_->broker_pid(), -9).ok());
+  EXPECT_EQ(containit().active_sessions(), 0u);
+  for (const Deployment* d : {&a, &b}) {
+    const witcontain::Session* session = containit().FindSession(d->session);
+    EXPECT_FALSE(session->active);
+    EXPECT_NE(session->termination_reason.find("peer"), std::string::npos);
+  }
+  // The already-expired session is not terminated a second time.
+  EXPECT_EQ(containit().FindSession(expired.session)->termination_reason, "ticket expired");
+  EXPECT_EQ(machine_->kernel().audit().CountEvent(witos::AuditEvent::kContainerTerminated), 3u);
+}
+
+TEST_F(ContainItIndexTest, RedeployedTicketReachesTheNewSession) {
+  machine_->kernel().root_fs().ProvisionFile("/srv/share/readme.txt", "shared\n");
+  Deployment first = Deploy("TKT-R", "T-3");
+  witos::NsId first_net = machine_->NetNsOf(containit().FindSession(first.session)->shell);
+  ASSERT_NE(machine_->net().namespaces().Find(first_net), nullptr);
+  ASSERT_TRUE(manager_.Expire(&first).ok());
+  EXPECT_EQ(machine_->net().namespaces().Find(first_net), nullptr);
+  EXPECT_EQ(containit().FindSessionByTicket("TKT-R"), nullptr);
+
+  Deployment second = Deploy("TKT-R", "T-3");
+  ASSERT_NE(second.session, first.session);
+  witcontain::Session* session = containit().FindSessionByTicket("TKT-R");
+  ASSERT_NE(session, nullptr);
+  EXPECT_EQ(session->id, second.session);
+
+  AdminSession admin(machine_, second.session, second.certificate, &cluster_.ca());
+  ASSERT_TRUE(admin.Login().ok());
+  size_t processes = machine_->kernel().process_count();
+  ASSERT_TRUE(admin.Pb(witbroker::kVerbMountVolume, {"/srv/share", "/srv/share"}).ok());
+  EXPECT_EQ(*admin.ReadFile("/srv/share/readme.txt"), "shared\n");
+  // The nsenter helper is reaped, not left as a zombie.
+  EXPECT_EQ(machine_->kernel().process_count(), processes);
+
+  witnet::Ipv4Addr extra(10, 0, 0, 99);
+  ASSERT_TRUE(admin.Pb(witbroker::kVerbNetAllow, {extra.ToString(), "80"}).ok());
+  const witnet::NetNsPayload* payload =
+      machine_->net().namespaces().Find(machine_->NetNsOf(session->shell));
+  ASSERT_NE(payload, nullptr);
+  EXPECT_TRUE(payload->HasRouteTo(extra));
+  EXPECT_FALSE(containit().FindSession(first.session)->active);
+}
+
+}  // namespace
+}  // namespace watchit

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/os/kernel.h"
 
 namespace witos {
@@ -36,6 +39,42 @@ TEST_F(KernelProcessTest, ExitWaitReapsZombie) {
   EXPECT_EQ(*reaped, child);
   EXPECT_EQ(kernel_.FindProcess(child), nullptr);
   EXPECT_EQ(kernel_.Wait(1).error(), Err::kChild);
+}
+
+TEST_F(KernelProcessTest, InitReapsOrphans) {
+  Pid worker = *kernel_.Clone(1, "worker", 0);
+  Pid child = *kernel_.Clone(worker, "child", 0);
+  ASSERT_TRUE(kernel_.Exit(child, 0).ok());
+  ASSERT_TRUE(kernel_.Exit(worker, 0).ok());
+  // The zombie child was reparented to init along with its dead parent.
+  EXPECT_EQ(kernel_.FindProcess(child)->ppid, 1);
+  std::vector<Pid> reaped;
+  for (auto pid = kernel_.Wait(1); pid.ok(); pid = kernel_.Wait(1)) {
+    reaped.push_back(*pid);
+  }
+  std::sort(reaped.begin(), reaped.end());
+  EXPECT_EQ(reaped, (std::vector<Pid>{worker, child}));
+  EXPECT_EQ(kernel_.process_count(), 1u);
+  EXPECT_EQ(kernel_.namespaces().Pidns(kernel_.namespaces().initial(NsType::kPid))
+                .host_to_local.size(),
+            1u);
+}
+
+TEST_F(KernelProcessTest, ReapDropsZombieFromEveryPidNamespace) {
+  Pid contained = *kernel_.Clone(1, "contained", kCloneNewPid);
+  Pid inner = *kernel_.Clone(contained, "inner", 0);
+  NsId inner_ns = kernel_.FindProcess(inner)->ns.Get(NsType::kPid);
+  EXPECT_EQ(kernel_.Reap(inner).error(), Err::kSrch);  // still running
+  ASSERT_TRUE(kernel_.Exit(inner, 0).ok());
+  ASSERT_TRUE(kernel_.Reap(inner).ok());
+  EXPECT_EQ(kernel_.FindProcess(inner), nullptr);
+  EXPECT_EQ(kernel_.namespaces().Pidns(inner_ns).host_to_local.count(inner), 0u);
+  EXPECT_EQ(kernel_.HostToLocalPid(1, inner).error(), Err::kSrch);
+  EXPECT_TRUE(kernel_.FindProcess(contained)->children.empty());
+  auto inside = kernel_.ListProcesses(contained);
+  ASSERT_TRUE(inside.ok());
+  EXPECT_EQ(inside->size(), 1u);
+  EXPECT_EQ(kernel_.Reap(inner).error(), Err::kSrch);  // already gone
 }
 
 TEST_F(KernelProcessTest, CloneNewNamespacesRequiresSysAdmin) {

@@ -1,0 +1,97 @@
+// Session teardown leaves nothing behind: after the 300th deploy -> login ->
+// broker ps -> expire cycle on one machine, the process table, the initial
+// PID namespace, the host root's /ConFS-* mountpoints, the NET namespace
+// payloads and the active-session count are exactly what they were after
+// the first, and the broker's `ps` lists the same number of processes.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <ostream>
+#include <string>
+
+#include "src/core/cluster.h"
+#include "src/core/session.h"
+
+namespace watchit {
+namespace {
+
+struct Footprint {
+  size_t processes = 0;
+  size_t host_pid_entries = 0;
+  size_t confs_dirs = 0;
+  size_t net_payloads = 0;
+  size_t active_sessions = 0;
+  size_t ps_lines = 0;  // taken while the cycle's session was live
+
+  bool operator==(const Footprint&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Footprint& f) {
+  return os << "{processes=" << f.processes << " host_pid_entries=" << f.host_pid_entries
+            << " confs_dirs=" << f.confs_dirs << " net_payloads=" << f.net_payloads
+            << " active_sessions=" << f.active_sessions << " ps_lines=" << f.ps_lines << "}";
+}
+
+class TeardownSteadyStateTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    machine_ = &cluster_.AddMachine("userpc", witnet::Ipv4Addr(10, 0, 1, 50));
+  }
+
+  // One deploy -> Login -> PB ps -> Expire cycle; returns the footprint
+  // after the expiry.
+  Footprint Cycle(int n) {
+    Ticket ticket;
+    ticket.id = "TKT-SOAK-" + std::to_string(n);
+    ticket.target_machine = "userpc";
+    ticket.assigned_class = "T-1";
+    ticket.admin = "alice";
+    auto deployment = manager_.Deploy(ticket);
+    EXPECT_TRUE(deployment.ok());
+    Footprint f;
+    {
+      AdminSession session(machine_, deployment->session, deployment->certificate,
+                           &cluster_.ca());
+      EXPECT_TRUE(session.Login().ok());
+      auto ps = session.Pb(witbroker::kVerbPs, {});
+      EXPECT_TRUE(ps.ok());
+      f.ps_lines = ps.ok() ? static_cast<size_t>(std::count(ps->begin(), ps->end(), '\n')) : 0;
+    }
+    EXPECT_TRUE(manager_.Expire(&*deployment).ok());
+
+    witos::Kernel& kernel = machine_->kernel();
+    f.processes = kernel.process_count();
+    f.host_pid_entries =
+        kernel.namespaces().Pidns(kernel.namespaces().initial(witos::NsType::kPid))
+            .host_to_local.size();
+    auto root = kernel.ReadDir(kernel.init_pid(), "/");
+    EXPECT_TRUE(root.ok());
+    for (const auto& entry : *root) {
+      if (entry.name.starts_with("ConFS-")) {
+        ++f.confs_dirs;
+      }
+    }
+    f.net_payloads = machine_->net().namespaces().size();
+    f.active_sessions = machine_->containit().active_sessions();
+    return f;
+  }
+
+  Cluster cluster_;
+  ClusterManager manager_{&cluster_};
+  Machine* machine_ = nullptr;
+};
+
+TEST_F(TeardownSteadyStateTest, ThreeHundredCyclesLeaveNothingBehind) {
+  Footprint first = Cycle(1);
+  EXPECT_EQ(first.active_sessions, 0u);
+  EXPECT_EQ(first.confs_dirs, 0u);
+  Footprint last;
+  for (int n = 2; n <= 300; ++n) {
+    last = Cycle(n);
+  }
+  EXPECT_EQ(first, last);
+}
+
+}  // namespace
+}  // namespace watchit
