@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -207,6 +208,9 @@ RunResult RunOnce(bool batched, size_t workers, size_t tickets_per_worker) {
 // (shards=8). The machine-independent signal is the summed lock wait on the
 // broker.* and securelog* mutexes — on any host, sharding collapses it,
 // because different tickets stop serializing on one chain and one window.
+// The threads share one kernel, so the broker takes `kernel_mu` around its
+// clock reads and verb dispatch, as the machine lock does in the serving
+// paths; the sharded broker state stays outside it.
 
 struct ContendedResult {
   size_t shards = 0;
@@ -241,9 +245,11 @@ ContendedResult RunContended(size_t shards, size_t workers, size_t tickets_per_w
   policy.SetPolicy("T-1", standard);
   witbroker::RpcChannel channel;
   witobs::MetricsRegistry metrics;
+  std::mutex kernel_mu;
   witbroker::PermissionBroker::Options options;
   options.shards = shards;
   options.log_epoch_interval = 256;
+  options.kernel_mu = &kernel_mu;
   witbroker::PermissionBroker broker(&kernel, broker_pid, &policy, &channel, options);
   broker.EnableMetrics(&metrics);
   (void)kernel.WriteFile(1, "/etc/motd", "host motd\n");

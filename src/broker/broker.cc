@@ -33,6 +33,7 @@ PermissionBroker::PermissionBroker(witos::Kernel* kernel, witos::Pid host_pid,
                                    PolicyManager* policy, RpcChannel* channel,
                                    Options options)
     : kernel_(kernel),
+      kernel_mu_(options.kernel_mu),
       host_pid_(host_pid),
       policy_(policy),
       log_(options.shards == 0 ? 1 : options.shards, options.log_epoch_interval) {
@@ -211,6 +212,11 @@ std::vector<BrokerEvent> PermissionBroker::EventsSnapshot() const {
   return merged;
 }
 
+std::unique_lock<std::mutex> PermissionBroker::LockKernel() const {
+  return kernel_mu_ == nullptr ? std::unique_lock<std::mutex>()
+                               : std::unique_lock<std::mutex>(*kernel_mu_);
+}
+
 RpcResponse PermissionBroker::Ok(std::string payload) const {
   RpcResponse resp;
   resp.ok = true;
@@ -309,7 +315,11 @@ std::string PermissionBroker::LogLine(const RpcRequest& request,
 
 RpcResponse PermissionBroker::Handle(const RpcRequest& request) {
   witobs::Span span(tracer_, "broker.handle", request.ticket_id);
-  uint64_t now = kernel_->clock().now_ns();
+  uint64_t now = 0;
+  {
+    auto kernel_lock = LockKernel();
+    now = kernel_->clock().now_ns();
+  }
   std::string ticket_class = TicketClassOf(request.ticket_id);
 
   bool policy_allowed =
@@ -332,6 +342,7 @@ RpcResponse PermissionBroker::Handle(const RpcRequest& request) {
   if (!allowed) {
     return Fail(witos::Err::kPerm);
   }
+  auto kernel_lock = LockKernel();
   uint64_t dispatch_start = kernel_->clock().now_ns();
   RpcResponse response = Dispatch(request);
   if (dispatch_latency_ != nullptr) {
@@ -342,7 +353,11 @@ RpcResponse PermissionBroker::Handle(const RpcRequest& request) {
 
 RpcBatchResponse PermissionBroker::HandleBatch(const RpcBatchRequest& batch) {
   witobs::Span span(tracer_, "broker.handle_batch", batch.ticket_id);
-  uint64_t now = kernel_->clock().now_ns();
+  uint64_t now = 0;
+  {
+    auto kernel_lock = LockKernel();
+    now = kernel_->clock().now_ns();
+  }
   // One policy-context lookup for the whole batch: the ticket class is
   // header state, not per-op state.
   std::string ticket_class = TicketClassOf(batch.ticket_id);
@@ -378,6 +393,7 @@ RpcBatchResponse PermissionBroker::HandleBatch(const RpcBatchRequest& batch) {
   log_.AppendBatch(log_lines, now, TicketShardKey(batch.ticket_id));
 
   // Dispatch the granted ops (denied ones answer EPERM positionally).
+  auto kernel_lock = LockKernel();
   uint64_t dispatch_start = kernel_->clock().now_ns();
   for (size_t i = 0; i < batch.ops.size(); ++i) {
     response.responses[i] =

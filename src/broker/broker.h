@@ -51,6 +51,13 @@ class PermissionBroker {
     // Appends between auto-sealed secure-log epoch roots (0 = manual
     // sealing only); meaningful mostly when shards > 1.
     uint64_t log_epoch_interval = 0;
+    // Lock the broker holds around each use of `kernel` (clock reads and
+    // verb dispatch) but not around its own sharded state. Leave null when
+    // every caller already holds the machine lock, as the serving paths
+    // do; set it when several threads call Handle on one machine without
+    // that lock (bench_rpc_batching's contended run). Must outlive the
+    // broker.
+    std::mutex* kernel_mu = nullptr;
   };
 
   // `kernel` is the host machine; `host_pid` is the broker's own process on
@@ -205,8 +212,11 @@ class PermissionBroker {
 
   void RecordEvent(BrokerEvent event);
   void RecordEvents(std::vector<BrokerEvent> events);
+  // Holds Options::kernel_mu when one was given; otherwise owns nothing.
+  std::unique_lock<std::mutex> LockKernel() const;
 
   witos::Kernel* kernel_;
+  std::mutex* kernel_mu_;
   witos::Pid host_pid_;
   PolicyManager* policy_;
   SecureLog log_;

@@ -1,8 +1,27 @@
 #include "src/core/certificate.h"
 
+#include <charconv>
+#include <string_view>
+
 #include "src/broker/securelog.h"
 
 namespace watchit {
+
+namespace {
+
+// Feeds `field` and then the '|' separator into a running FNV-1a hash.
+uint64_t FeedField(uint64_t hash, std::string_view field) {
+  return witbroker::Fnv1a("|", witbroker::Fnv1a(field, hash));
+}
+
+// Feeds the decimal digits of `value` (the bytes std::to_string writes).
+uint64_t FeedNumber(uint64_t hash, uint64_t value) {
+  char digits[20];  // UINT64_MAX has 20 decimal digits
+  char* end = std::to_chars(digits, digits + sizeof(digits), value).ptr;
+  return witbroker::Fnv1a(std::string_view(digits, static_cast<size_t>(end - digits)), hash);
+}
+
+}  // namespace
 
 std::string CertStatusName(CertStatus status) {
   switch (status) {
@@ -21,10 +40,18 @@ std::string CertStatusName(CertStatus status) {
 }
 
 uint64_t CertificateAuthority::Sign(const Certificate& cert) const {
-  std::string material = cert.admin + "|" + cert.machine + "|" + cert.ticket_id + "|" +
-                         cert.ticket_class + "|" + std::to_string(cert.serial) + "|" +
-                         std::to_string(cert.issued_ns) + "|" + std::to_string(cert.expires_ns);
-  return witbroker::Fnv1a(material, secret_);
+  // FNV-1a chains, so hashing the pieces in order equals hashing
+  // "admin|machine|ticket|class|serial|issued|expires" as one string.
+  uint64_t hash = secret_;
+  hash = FeedField(hash, cert.admin);
+  hash = FeedField(hash, cert.machine);
+  hash = FeedField(hash, cert.ticket_id);
+  hash = FeedField(hash, cert.ticket_class);
+  hash = FeedNumber(hash, cert.serial);
+  hash = witbroker::Fnv1a("|", hash);
+  hash = FeedNumber(hash, cert.issued_ns);
+  hash = witbroker::Fnv1a("|", hash);
+  return FeedNumber(hash, cert.expires_ns);
 }
 
 Certificate CertificateAuthority::Issue(const std::string& admin, const std::string& machine,
@@ -49,15 +76,23 @@ Certificate CertificateAuthority::Issue(const std::string& admin, const std::str
 }
 
 CertStatus CertificateAuthority::Validate(const Certificate& cert, uint64_t now_ns) const {
-  std::lock_guard<witobs::ProfiledMutex> lock(mu_);
-  auto it = issued_.find(cert.serial);
-  if (it == issued_.end()) {
+  // The signature depends only on the presented cert and the immutable
+  // secret, so it is checked before the lock, which guards only the books.
+  const bool forged = cert.signature != Sign(cert);
+  bool known = false;
+  bool revoked = false;
+  {
+    std::lock_guard<witobs::ProfiledMutex> lock(mu_);
+    known = issued_.count(cert.serial) > 0;
+    revoked = revoked_.count(cert.serial) > 0;
+  }
+  if (!known) {
     return CertStatus::kUnknown;
   }
-  if (cert.signature != Sign(cert)) {
+  if (forged) {
     return CertStatus::kForged;
   }
-  if (revoked_.count(cert.serial) > 0) {
+  if (revoked) {
     return CertStatus::kRevoked;
   }
   if (now_ns >= cert.expires_ns) {
@@ -122,10 +157,10 @@ void CertificateAuthority::set_revoke_listener(RevokeListener listener) {
 }
 
 witos::Status CertificateAuthority::RestoreIssued(const Certificate& cert) {
-  std::lock_guard<witobs::ProfiledMutex> lock(mu_);
   if (cert.signature != Sign(cert)) {
     return witos::Err::kInval;
   }
+  std::lock_guard<witobs::ProfiledMutex> lock(mu_);
   if (!issued_.emplace(cert.serial, cert).second) {
     return witos::Err::kExist;
   }

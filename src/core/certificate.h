@@ -40,7 +40,10 @@ std::string CertStatusName(CertStatus status);
 
 // One CA serves the whole cluster, so Issue/Validate/Revoke are internally
 // synchronized: every serving worker deploys (issues) and expires (revokes)
-// through this object concurrently.
+// through this object concurrently. The signature is a keyed FNV-1a over
+// "admin|machine|ticket|class|serial|issued|expires" (numbers in decimal);
+// Validate checks it before taking the CA lock, which covers only the
+// issue/revoke books (DESIGN.md "Admin op path").
 class CertificateAuthority {
  public:
   explicit CertificateAuthority(uint64_t secret = 0x57a7c417u) : secret_(secret) {}
@@ -86,9 +89,10 @@ class CertificateAuthority {
   void EnableLockMetrics(witobs::MetricsRegistry* registry) { mu_.EnableMetrics(registry); }
 
  private:
+  // Reads only the cert and secret_, so it needs no lock.
   uint64_t Sign(const Certificate& cert) const;
 
-  uint64_t secret_;
+  const uint64_t secret_;
   mutable witobs::ProfiledMutex mu_{"ca"};
   uint64_t next_serial_ = 1;
   std::map<uint64_t, Certificate> issued_;

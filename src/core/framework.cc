@@ -67,7 +67,11 @@ std::string ItFramework::Classify(const std::string& text) const {
 
 std::string ItFramework::ClassifyWithReview(const std::string& text,
                                             const std::string& reviewed_truth) const {
-  std::string predicted = Classify(text);
+  return Review(Classify(text), reviewed_truth);
+}
+
+std::string ItFramework::Review(const std::string& predicted,
+                                const std::string& reviewed_truth) {
   // The supervisor corrects mispredictions before deployment; the
   // prediction accuracy itself is what Table 4's precision column reports.
   return reviewed_truth.empty() ? predicted : reviewed_truth;

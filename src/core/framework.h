@@ -47,6 +47,9 @@ class ItFramework {
   // supervisor").
   std::string ClassifyWithReview(const std::string& text,
                                  const std::string& reviewed_truth) const;
+  // The review rule alone, for callers that already hold the prediction:
+  // the supervisor's class when one is given, else the prediction.
+  static std::string Review(const std::string& predicted, const std::string& reviewed_truth);
 
   // Topic model access for the Table 2 bench.
   const witnlp::LdaModel* lda() const { return lda_.get(); }

@@ -130,9 +130,9 @@ witos::Result<PreparedTicket> TicketWorkflow::Prepare(
     ticket.id = generated.id;
     ticket.text = generated.text;
     ticket.target_machine = target_machine;
-    // Review corrects mispredictions before deployment (§5.1).
-    ticket.assigned_class =
-        framework_->ClassifyWithReview(generated.text, generated.true_class);
+    // Review corrects mispredictions before deployment (§5.1); it acts on
+    // the prediction above, so the text is classified once.
+    ticket.assigned_class = ItFramework::Review(resolved.predicted_class, generated.true_class);
     ticket.true_class = generated.true_class;
     ticket.ops = generated.ops;
   }

@@ -37,16 +37,21 @@ class LdaModel {
 
   // phi_k(w): the topic-word distribution.
   double TopicWordProb(int topic, int word_id) const;
+  // The trained counts n_{k,w} and n_k behind it.
+  int TopicWordCount(int topic, int word_id) const;
+  int TopicCount(int topic) const;
   // theta_d(k): the per-training-document topic distribution.
   std::vector<double> DocTopicDist(size_t doc_index) const;
 
   // Top `n` words of a topic, by probability.
   std::vector<TopicWord> TopWords(int topic, size_t n) const;
 
+  static constexpr uint32_t kDefaultInferSeed = 7;
+
   // Folds in an unseen document (fixed topic-word counts) and returns its
   // topic distribution.
   std::vector<double> InferTopics(const std::vector<int>& word_ids, int iterations = 50,
-                                  uint32_t seed = 7) const;
+                                  uint32_t seed = kDefaultInferSeed) const;
   // Argmax of InferTopics.
   int MostLikelyTopic(const std::vector<int>& word_ids) const;
 
@@ -68,6 +73,13 @@ class LdaModel {
   std::vector<int> topic_total_;  // K:     n_k
   std::vector<int> doc_topic_;    // D x K: n_{d,k}
   std::vector<std::vector<int>> assignments_;  // z for every token
+  // V x K: phi_k(w) = (n_{k,w} + beta) / (n_k + V*beta), filled when Train
+  // ends. The fold-in multiplies it by the local count, the same two
+  // roundings as computing the quotient inline, so results are identical.
+  std::vector<double> phi_;
+  // Seeded once with kDefaultInferSeed; InferTopics copies it instead of
+  // re-seeding a generator per call.
+  const std::mt19937 default_infer_rng_{kDefaultInferSeed};
   bool trained_ = false;
 };
 

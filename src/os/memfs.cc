@@ -38,11 +38,12 @@ void MemFs::ChargeBytes(size_t n) const {
   }
 }
 
-Result<std::shared_ptr<MemFs::Node>> MemFs::Walk(const std::string& path,
-                                                 const Credentials& cred) const {
+Result<MemFs::Node*> MemFs::Walk(std::string_view path, const Credentials& cred) const {
   ++op_count_;
-  std::shared_ptr<Node> cur = root_;
-  for (const auto& comp : SplitPath(path)) {
+  Node* cur = root_.get();
+  size_t pos = 0;
+  for (std::string_view comp = NextPathComponent(path, &pos); !comp.empty();
+       comp = NextPathComponent(path, &pos)) {
     if (cur->type != FileType::kDirectory) {
       return Err::kNotDir;
     }
@@ -53,18 +54,18 @@ Result<std::shared_ptr<MemFs::Node>> MemFs::Walk(const std::string& path,
     if (it == cur->children.end()) {
       return Err::kNoEnt;
     }
-    cur = it->second;
+    cur = it->second.get();
   }
   return cur;
 }
 
-Result<std::pair<std::shared_ptr<MemFs::Node>, std::string>> MemFs::WalkParent(
-    const std::string& path, const Credentials& cred) const {
+Result<std::pair<MemFs::Node*, std::string>> MemFs::WalkParent(const std::string& path,
+                                                              const Credentials& cred) const {
   std::string norm = NormalizePath(path);
   if (norm == "/") {
     return Err::kInval;
   }
-  WITOS_ASSIGN_OR_RETURN(std::shared_ptr<Node> parent, Walk(Dirname(norm), cred));
+  WITOS_ASSIGN_OR_RETURN(Node* parent, Walk(Dirname(norm), cred));
   if (parent->type != FileType::kDirectory) {
     return Err::kNotDir;
   }
@@ -122,7 +123,7 @@ Result<Stat> MemFs::Open(const std::string& path, uint32_t flags, Mode mode,
     }
     return walked.error();
   }
-  auto node = *walked;
+  Node* node = *walked;
   if ((flags & kOpenCreate) != 0 && (flags & kOpenExcl) != 0) {
     return Err::kExist;
   }
@@ -146,14 +147,14 @@ Result<Stat> MemFs::Open(const std::string& path, uint32_t flags, Mode mode,
   if ((flags & kOpenTrunc) != 0 && node->type == FileType::kRegular) {
     used_bytes_ -= node->data.size();
     node->data.clear();
-    BumpGeneration(node.get());
+    BumpGeneration(node);
   }
   return StatOf(*node);
 }
 
 Result<size_t> MemFs::ReadAt(const std::string& path, uint64_t offset, size_t size,
                              std::string* out, const Credentials& cred) {
-  WITOS_ASSIGN_OR_RETURN(std::shared_ptr<Node> node, Walk(path, cred));
+  WITOS_ASSIGN_OR_RETURN(Node* node, Walk(path, cred));
   if (node->type == FileType::kDirectory) {
     return Err::kIsDir;
   }
@@ -172,7 +173,7 @@ Result<size_t> MemFs::ReadAt(const std::string& path, uint64_t offset, size_t si
 
 Result<size_t> MemFs::WriteAt(const std::string& path, uint64_t offset, const std::string& data,
                               const Credentials& cred) {
-  WITOS_ASSIGN_OR_RETURN(std::shared_ptr<Node> node, Walk(path, cred));
+  WITOS_ASSIGN_OR_RETURN(Node* node, Walk(path, cred));
   if (node->type == FileType::kDirectory) {
     return Err::kIsDir;
   }
@@ -185,7 +186,7 @@ Result<size_t> MemFs::WriteAt(const std::string& path, uint64_t offset, const st
     node->data.resize(end);
   }
   node->data.replace(static_cast<size_t>(offset), data.size(), data);
-  BumpGeneration(node.get());
+  BumpGeneration(node);
   if (clock_ != nullptr) {
     node->mtime_ticks = clock_->now_ns();
   }
@@ -194,7 +195,7 @@ Result<size_t> MemFs::WriteAt(const std::string& path, uint64_t offset, const st
 }
 
 Status MemFs::Truncate(const std::string& path, uint64_t size, const Credentials& cred) {
-  WITOS_ASSIGN_OR_RETURN(std::shared_ptr<Node> node, Walk(path, cred));
+  WITOS_ASSIGN_OR_RETURN(Node* node, Walk(path, cred));
   if (node->type == FileType::kDirectory) {
     return Err::kIsDir;
   }
@@ -207,19 +208,19 @@ Status MemFs::Truncate(const std::string& path, uint64_t size, const Credentials
     used_bytes_ += size - node->data.size();
   }
   node->data.resize(static_cast<size_t>(size), '\0');
-  BumpGeneration(node.get());
+  BumpGeneration(node);
   return Status::Ok();
 }
 
 Result<Stat> MemFs::GetAttr(const std::string& path, const Credentials& cred) {
   ChargeMeta();
-  WITOS_ASSIGN_OR_RETURN(std::shared_ptr<Node> node, Walk(path, cred));
+  WITOS_ASSIGN_OR_RETURN(Node* node, Walk(path, cred));
   return StatOf(*node);
 }
 
 Result<std::vector<DirEntry>> MemFs::ReadDir(const std::string& path, const Credentials& cred) {
   ChargeMeta();
-  WITOS_ASSIGN_OR_RETURN(std::shared_ptr<Node> node, Walk(path, cred));
+  WITOS_ASSIGN_OR_RETURN(Node* node, Walk(path, cred));
   if (node->type != FileType::kDirectory) {
     return Err::kNotDir;
   }
@@ -330,23 +331,23 @@ Status MemFs::Rename(const std::string& from, const std::string& to, const Crede
 }
 
 Status MemFs::Chmod(const std::string& path, Mode mode, const Credentials& cred) {
-  WITOS_ASSIGN_OR_RETURN(std::shared_ptr<Node> node, Walk(path, cred));
+  WITOS_ASSIGN_OR_RETURN(Node* node, Walk(path, cred));
   if (cred.uid != node->uid && !cred.HasCap(Capability::kDacOverride)) {
     return Err::kPerm;
   }
   node->mode = mode;
-  BumpGeneration(node.get());
+  BumpGeneration(node);
   return Status::Ok();
 }
 
 Status MemFs::Chown(const std::string& path, Uid uid, Gid gid, const Credentials& cred) {
-  WITOS_ASSIGN_OR_RETURN(std::shared_ptr<Node> node, Walk(path, cred));
+  WITOS_ASSIGN_OR_RETURN(Node* node, Walk(path, cred));
   if (!cred.HasCap(Capability::kChown)) {
     return Err::kPerm;
   }
   node->uid = uid;
   node->gid = gid;
-  BumpGeneration(node.get());
+  BumpGeneration(node);
   return Status::Ok();
 }
 
@@ -374,7 +375,7 @@ Status MemFs::MkNod(const std::string& path, FileType type, DeviceId rdev, Mode 
 Status MemFs::Link(const std::string& oldpath, const std::string& newpath,
                    const Credentials& cred) {
   ChargeMutation();
-  WITOS_ASSIGN_OR_RETURN(std::shared_ptr<Node> node, Walk(NormalizePath(oldpath), cred));
+  WITOS_ASSIGN_OR_RETURN(Node* node, Walk(NormalizePath(oldpath), cred));
   if (node->type == FileType::kDirectory) {
     return Err::kPerm;  // hard links to directories are forbidden
   }
@@ -386,11 +387,11 @@ Status MemFs::Link(const std::string& oldpath, const std::string& newpath,
   if (!CheckPosixAccess(cred, parent->uid, parent->gid, parent->mode, kAccessWrite)) {
     return Err::kAcces;
   }
-  parent->children[leaf] = node;  // same inode, second name
+  parent->children[leaf] = node->shared_from_this();  // same inode, second name
   ++node->nlink_extra;
   // The shared inode's generation covers both names: a later write through
   // either alias re-bumps it, invalidating verdicts cached under the other.
-  BumpGeneration(node.get());
+  BumpGeneration(node);
   return Status::Ok();
 }
 
@@ -412,7 +413,7 @@ Status MemFs::SymLink(const std::string& target, const std::string& linkpath,
 }
 
 Result<std::string> MemFs::ReadLink(const std::string& path, const Credentials& cred) {
-  WITOS_ASSIGN_OR_RETURN(std::shared_ptr<Node> node, Walk(path, cred));
+  WITOS_ASSIGN_OR_RETURN(Node* node, Walk(path, cred));
   if (node->type != FileType::kSymlink) {
     return Err::kInval;
   }
@@ -458,7 +459,7 @@ void MemFs::ProvisionAppend(const std::string& path, const std::string& data) {
   }
   (*walked)->data += data;
   used_bytes_ += data.size();
-  BumpGeneration(walked->get());
+  BumpGeneration(*walked);
 }
 
 void MemFs::ProvisionSymlink(const std::string& linkpath, const std::string& target) {
@@ -479,8 +480,10 @@ uint64_t MemFs::Generation(const std::string& path) const {
   // Internal metadata query: no permission checks, no clock charge, no
   // op_count — the caller (the ITFS verdict cache) must observe exactly the
   // same costs whether or not it consults generations.
-  std::shared_ptr<Node> cur = root_;
-  for (const auto& comp : SplitPath(path)) {
+  const Node* cur = root_.get();
+  size_t pos = 0;
+  for (std::string_view comp = NextPathComponent(path, &pos); !comp.empty();
+       comp = NextPathComponent(path, &pos)) {
     if (cur->type != FileType::kDirectory) {
       return kNoGeneration;
     }
@@ -488,7 +491,7 @@ uint64_t MemFs::Generation(const std::string& path) const {
     if (it == cur->children.end()) {
       return kNoGeneration;
     }
-    cur = it->second;
+    cur = it->second.get();
   }
   if (cur->type == FileType::kDirectory) {
     return kNoGeneration;

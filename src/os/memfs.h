@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/os/clock.h"
@@ -72,7 +73,9 @@ class MemFs : public Filesystem {
   uint64_t op_count() const { return op_count_; }
 
  private:
-  struct Node {
+  // Owned by shared_ptr (a hard link is a second owning name), so Link can
+  // take a new owner of a node it reached by raw-pointer walk.
+  struct Node : std::enable_shared_from_this<Node> {
     FileType type = FileType::kRegular;
     Mode mode = kModeDefaultFile;
     Uid uid = kRootUid;
@@ -87,15 +90,18 @@ class MemFs : public Filesystem {
     uint64_t generation = 0;
     uint32_t nlink_extra = 0;  // hard links beyond the first name
     std::string data;                                   // regular file / symlink target
-    std::map<std::string, std::shared_ptr<Node>> children;  // directory
+    // Directory entries; std::less<> lets a walk look names up by
+    // string_view.
+    std::map<std::string, std::shared_ptr<Node>, std::less<>> children;
   };
 
   // Walks to the node at `path`; checks exec (search) permission on every
-  // traversed directory.
-  Result<std::shared_ptr<Node>> Walk(const std::string& path, const Credentials& cred) const;
+  // traversed directory. Steps through string_view components (empty and
+  // "." skipped as SplitPath does) and raw pointers, so it never allocates.
+  Result<Node*> Walk(std::string_view path, const Credentials& cred) const;
   // Walks to the parent directory of `path`, returning (parent, leaf name).
-  Result<std::pair<std::shared_ptr<Node>, std::string>> WalkParent(const std::string& path,
-                                                                   const Credentials& cred) const;
+  Result<std::pair<Node*, std::string>> WalkParent(const std::string& path,
+                                                   const Credentials& cred) const;
   Stat StatOf(const Node& node) const;
   std::shared_ptr<Node> NewNode(FileType type, Mode mode, const Credentials& cred);
   // Stamps a fresh generation on `node` (content or identity changed).

@@ -5,9 +5,8 @@
 
 namespace witos {
 
-std::vector<std::string> SplitPath(std::string_view path) {
-  std::vector<std::string> parts;
-  size_t i = 0;
+std::string_view NextPathComponent(std::string_view path, size_t* pos) {
+  size_t i = *pos;
   while (i < path.size()) {
     while (i < path.size() && path[i] == '/') {
       ++i;
@@ -16,12 +15,22 @@ std::vector<std::string> SplitPath(std::string_view path) {
     while (i < path.size() && path[i] != '/') {
       ++i;
     }
-    if (i > start) {
-      std::string_view comp = path.substr(start, i - start);
-      if (comp != ".") {
-        parts.emplace_back(comp);
-      }
+    std::string_view comp = path.substr(start, i - start);
+    if (!comp.empty() && comp != ".") {
+      *pos = i;
+      return comp;
     }
+  }
+  *pos = i;
+  return {};
+}
+
+std::vector<std::string> SplitPath(std::string_view path) {
+  std::vector<std::string> parts;
+  size_t pos = 0;
+  for (std::string_view comp = NextPathComponent(path, &pos); !comp.empty();
+       comp = NextPathComponent(path, &pos)) {
+    parts.emplace_back(comp);
   }
   return parts;
 }
@@ -88,11 +97,19 @@ bool PathIsUnder(std::string_view path, std::string_view prefix) {
 
 std::string RebasePath(std::string_view path, std::string_view old_prefix,
                        std::string_view new_prefix) {
+  std::string out;
+  RebasePathInto(path, old_prefix, new_prefix, &out);
+  return out;
+}
+
+void RebasePathInto(std::string_view path, std::string_view old_prefix,
+                    std::string_view new_prefix, std::string* out) {
+  out->clear();
   if (!PathIsUnder(path, old_prefix)) {
     // A rebase of a path that is not under the old prefix has no meaningful
     // answer; returning any path here would silently graft unrelated
     // components onto new_prefix (e.g. "/abc" rebased from "/a").
-    return "";
+    return;
   }
   std::string_view rest;
   if (old_prefix == "/") {
@@ -100,13 +117,14 @@ std::string RebasePath(std::string_view path, std::string_view old_prefix,
   } else if (path.size() > old_prefix.size()) {
     rest = path.substr(old_prefix.size() + 1);  // skip the separating '/'
   }
+  out->append(new_prefix);
   if (rest.empty()) {
-    return std::string(new_prefix);
+    return;
   }
-  if (new_prefix == "/") {
-    return "/" + std::string(rest);
+  if (new_prefix != "/") {
+    out->push_back('/');
   }
-  return std::string(new_prefix) + "/" + std::string(rest);
+  out->append(rest);
 }
 
 std::string Basename(std::string_view path) {

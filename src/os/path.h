@@ -18,6 +18,11 @@ namespace witos {
 // "." components are dropped; ".." components are preserved.
 std::vector<std::string> SplitPath(std::string_view path);
 
+// Allocation-free SplitPath: returns the next component of `path` at or
+// after `*pos` and advances `*pos` past it; empty once none remain. Walking
+// a path with it yields exactly SplitPath's components.
+std::string_view NextPathComponent(std::string_view path, size_t* pos);
+
 // Normalizes to an absolute canonical form, resolving "." and ".." lexically
 // and clamping ".." at "/". A relative input is interpreted against "/".
 std::string NormalizePath(std::string_view path);
@@ -40,6 +45,10 @@ bool PathIsUnder(std::string_view path, std::string_view prefix);
 // silent mis-rebase cannot masquerade as success.)
 std::string RebasePath(std::string_view path, std::string_view old_prefix,
                        std::string_view new_prefix);
+// RebasePath into a caller-owned buffer (reused across calls on hot paths).
+// `out` must not alias the inputs.
+void RebasePathInto(std::string_view path, std::string_view old_prefix,
+                    std::string_view new_prefix, std::string* out);
 
 // Final component ("/a/b/c" -> "c", "/" -> "/").
 std::string Basename(std::string_view path);

@@ -1,13 +1,31 @@
 #include "src/os/vfs.h"
 
-#include <deque>
+#include <algorithm>
+#include <forward_list>
+#include <vector>
 
 #include "src/os/path.h"
 
 namespace witos {
 
 namespace {
+
 constexpr int kMaxSymlinkDepth = 40;
+
+// Writes the vfs-space path of canonical jail-space `jail_path` into `out`:
+// `root` itself for "/", else JoinPath(root, jail_path minus its '/').
+void MapToVfs(const std::string& root, std::string_view jail_path, std::string* out) {
+  out->assign(root);
+  if (jail_path == "/") {
+    return;
+  }
+  std::string_view rel = jail_path.substr(1);
+  if (!out->empty() && out->back() != '/') {
+    out->push_back('/');
+  }
+  out->append(rel);
+}
+
 }  // namespace
 
 Status Vfs::AddMount(NsId mnt_ns, MountEntry entry) {
@@ -50,23 +68,16 @@ size_t Vfs::RemoveMountsUnder(NsId mnt_ns, const std::string& prefix) {
   return before - table.size();
 }
 
-Result<MountEntry> Vfs::FindMount(NsId mnt_ns, const std::string& vfs_path) const {
-  const auto& table = registry_->Mnt(mnt_ns).table;
+const MountEntry* Vfs::FindMount(const std::vector<MountEntry>& table,
+                                 std::string_view vfs_path) {
   const MountEntry* best = nullptr;
-  size_t best_len = 0;
   for (const auto& entry : table) {
-    if (PathIsUnder(vfs_path, entry.mountpoint)) {
-      size_t len = entry.mountpoint.size();
-      if (best == nullptr || len > best_len) {
-        best = &entry;
-        best_len = len;
-      }
+    if (PathIsUnder(vfs_path, entry.mountpoint) &&
+        (best == nullptr || entry.mountpoint.size() > best->mountpoint.size())) {
+      best = &entry;
     }
   }
-  if (best == nullptr) {
-    return Err::kNoEnt;
-  }
-  return *best;
+  return best;
 }
 
 Result<ResolvedPath> Vfs::Resolve(const VfsContext& ctx, std::string_view user_path,
@@ -74,87 +85,112 @@ Result<ResolvedPath> Vfs::Resolve(const VfsContext& ctx, std::string_view user_p
   if (user_path.size() > 4096) {
     return Err::kNameTooLong;
   }
-  // Work queue of path components, jail-space.
-  std::deque<std::string> todo;
-  auto push_all = [&todo](std::string_view p) {
-    auto parts = SplitPath(p);
-    for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
-      todo.push_front(std::move(*it));
+  const std::vector<MountEntry>& mounts = registry_->Mnt(ctx.mnt_ns).table;
+  const XclNamespace* xcl = ctx.xcl_ns != kNoNs ? &registry_->Xcl(ctx.xcl_ns) : nullptr;
+  // XCL enforcement: the vfs path must not fall in an excluded subtree,
+  // "disregarding the user privileges" (paper §5.6).
+  auto excluded = [&](const std::string& vfs_path) {
+    if (xcl == nullptr || !xcl->IsExcluded(vfs_path)) {
+      return false;
     }
+    if (audit_ != nullptr) {
+      audit_->Append(AuditEvent::kXclDenied, ctx.pid, ctx.cred.uid, vfs_path, 0);
+    }
+    return true;
   };
-  std::string cur = "/";
-  if (IsAbsolutePath(user_path)) {
-    push_all(user_path);
-  } else {
-    // push_all prepends, so push the relative path first and the cwd after:
-    // the cwd components must be consumed before the path's.
-    push_all(user_path);
+
+  // Pending jail-space components, the next one at the back. They view
+  // into user_path, ctx.cwd or a symlink target kept alive in `targets`.
+  std::vector<std::string_view> todo;
+  todo.reserve(16);
+  std::forward_list<std::string> targets;
+  auto push_all = [&todo](std::string_view p) {
+    size_t first = todo.size();
+    size_t pos = 0;
+    for (std::string_view comp = NextPathComponent(p, &pos); !comp.empty();
+         comp = NextPathComponent(p, &pos)) {
+      todo.push_back(comp);
+    }
+    std::reverse(todo.begin() + static_cast<std::ptrdiff_t>(first), todo.end());
+  };
+  // The relative path goes on first and the cwd on top: the cwd components
+  // must be consumed before the path's.
+  push_all(user_path);
+  if (!IsAbsolutePath(user_path)) {
     push_all(ctx.cwd);
   }
 
-  int symlink_depth = 0;
-  auto stat_at = [&](const std::string& jail_path) -> Result<Stat> {
-    std::string vfs_path = jail_path == "/" ? ctx.root : JoinPath(ctx.root, jail_path.substr(1));
-    auto mount = FindMount(ctx.mnt_ns, vfs_path);
-    if (!mount.ok()) {
-      return mount.error();
+  // `cur` is the jail-space path resolved so far and `vfs_cur` its
+  // vfs-space form; the other buffers are reused by every component.
+  std::string cur = "/";
+  std::string vfs_cur = ctx.root;
+  std::string next;
+  std::string vfs_next;
+  std::string fs_path;
+  // Stats `vfs_path` on the mount covering it, leaving the fs-local path in
+  // `fs_path` and the mount in `*mount` (null if none: ENOENT).
+  auto stat_vfs = [&](const std::string& vfs_path, const MountEntry** mount) -> Result<Stat> {
+    *mount = FindMount(mounts, vfs_path);
+    if (*mount == nullptr) {
+      return Err::kNoEnt;
     }
-    std::string fs_path = RebasePath(vfs_path, mount->mountpoint, mount->fs_root);
-    return mount->fs->GetAttr(fs_path, ctx.cred);
+    RebasePathInto(vfs_path, (*mount)->mountpoint, (*mount)->fs_root, &fs_path);
+    return (*mount)->fs->GetAttr(fs_path, ctx.cred);
+  };
+  auto resolved = [](std::string jail_path, std::string vfs_path, const MountEntry& mount,
+                     bool exists) {
+    ResolvedPath out;
+    out.jail_path = std::move(jail_path);
+    out.vfs_path = std::move(vfs_path);
+    out.fs = mount.fs;
+    RebasePathInto(out.vfs_path, mount.mountpoint, mount.fs_root, &out.fs_path);
+    out.read_only = mount.read_only;
+    out.exists = exists;
+    return out;
   };
 
+  int symlink_depth = 0;
   while (!todo.empty()) {
-    std::string comp = std::move(todo.front());
-    todo.pop_front();
+    std::string_view comp = todo.back();
+    todo.pop_back();
     if (comp == "..") {
       // Clamp at the jail root, as chroot does.
       if (cur != "/") {
         cur = Dirname(cur);
+        MapToVfs(ctx.root, cur, &vfs_cur);
       }
       continue;
     }
-    std::string next = cur == "/" ? "/" + comp : cur + "/" + comp;
+    next.assign(cur);
+    if (cur != "/") {
+      next.push_back('/');
+    }
+    next.append(comp);
+    MapToVfs(ctx.root, next, &vfs_next);
     bool is_final = todo.empty();
     // XCL enforcement happens *before* the lookup so that exclusion masks
     // even the existence of the subtree ("cannot be accessed by processes
     // that belong to that namespace, disregarding the user privileges").
-    {
-      std::string vfs_next = JoinPath(ctx.root, next.substr(1));
-      if (ctx.xcl_ns != kNoNs && registry_->Xcl(ctx.xcl_ns).IsExcluded(vfs_next)) {
-        if (audit_ != nullptr) {
-          audit_->Append(AuditEvent::kXclDenied, ctx.pid, ctx.cred.uid, vfs_next, 0);
-        }
-        return Err::kAcces;
-      }
+    if (excluded(vfs_next)) {
+      return Err::kAcces;
     }
-    auto st = stat_at(next);
+    const MountEntry* mount = nullptr;
+    auto st = stat_vfs(vfs_next, &mount);
     if (!st.ok()) {
       if (st.error() == Err::kNoEnt && is_final && allow_missing_final) {
         // Parent must exist and be a directory.
-        auto parent_st = stat_at(cur);
+        const MountEntry* parent_mount = nullptr;
+        auto parent_st = stat_vfs(vfs_cur, &parent_mount);
         if (!parent_st.ok()) {
           return parent_st.error();
         }
         if (parent_st->type != FileType::kDirectory) {
           return Err::kNotDir;
         }
-        cur = next;
-        std::string vfs_path = JoinPath(ctx.root, cur.substr(1));
-        if (ctx.xcl_ns != kNoNs && registry_->Xcl(ctx.xcl_ns).IsExcluded(vfs_path)) {
-          if (audit_ != nullptr) {
-            audit_->Append(AuditEvent::kXclDenied, ctx.pid, ctx.cred.uid, vfs_path, 0);
-          }
-          return Err::kAcces;
+        if (mount == nullptr) {
+          return Err::kNoEnt;
         }
-        WITOS_ASSIGN_OR_RETURN(MountEntry mount, FindMount(ctx.mnt_ns, vfs_path));
-        ResolvedPath out;
-        out.jail_path = cur;
-        out.vfs_path = vfs_path;
-        out.fs = mount.fs;
-        out.fs_path = RebasePath(vfs_path, mount.mountpoint, mount.fs_root);
-        out.read_only = mount.read_only;
-        out.exists = false;
-        return out;
+        return resolved(std::move(next), std::move(vfs_next), *mount, /*exists=*/false);
       }
       return st.error();
     }
@@ -162,41 +198,31 @@ Result<ResolvedPath> Vfs::Resolve(const VfsContext& ctx, std::string_view user_p
       if (++symlink_depth > kMaxSymlinkDepth) {
         return Err::kLoop;
       }
-      std::string vfs_path = JoinPath(ctx.root, next.substr(1));
-      WITOS_ASSIGN_OR_RETURN(MountEntry mount, FindMount(ctx.mnt_ns, vfs_path));
-      std::string fs_path = RebasePath(vfs_path, mount.mountpoint, mount.fs_root);
-      WITOS_ASSIGN_OR_RETURN(std::string target, mount.fs->ReadLink(fs_path, ctx.cred));
+      WITOS_ASSIGN_OR_RETURN(std::string target, mount->fs->ReadLink(fs_path, ctx.cred));
       if (IsAbsolutePath(target)) {
         // Absolute targets restart at the *jail* root — chroot semantics.
         cur = "/";
+        vfs_cur = ctx.root;
       }
-      push_all(target);
+      targets.push_front(std::move(target));
+      push_all(targets.front());
       continue;
     }
     if (!is_final && st->type != FileType::kDirectory) {
       return Err::kNotDir;
     }
-    cur = next;
+    cur.swap(next);
+    vfs_cur.swap(vfs_next);
   }
 
-  std::string vfs_path = cur == "/" ? ctx.root : JoinPath(ctx.root, cur.substr(1));
-  // XCL enforcement: the canonical vfs path must not fall in an excluded
-  // subtree, "disregarding the user privileges" (paper §5.6).
-  if (ctx.xcl_ns != kNoNs && registry_->Xcl(ctx.xcl_ns).IsExcluded(vfs_path)) {
-    if (audit_ != nullptr) {
-      audit_->Append(AuditEvent::kXclDenied, ctx.pid, ctx.cred.uid, vfs_path, 0);
-    }
+  if (excluded(vfs_cur)) {
     return Err::kAcces;
   }
-  WITOS_ASSIGN_OR_RETURN(MountEntry mount, FindMount(ctx.mnt_ns, vfs_path));
-  ResolvedPath out;
-  out.jail_path = cur;
-  out.vfs_path = vfs_path;
-  out.fs = mount.fs;
-  out.fs_path = RebasePath(vfs_path, mount.mountpoint, mount.fs_root);
-  out.read_only = mount.read_only;
-  out.exists = true;
-  return out;
+  const MountEntry* mount = FindMount(mounts, vfs_cur);
+  if (mount == nullptr) {
+    return Err::kNoEnt;
+  }
+  return resolved(std::move(cur), std::move(vfs_cur), *mount, /*exists=*/true);
 }
 
 }  // namespace witos

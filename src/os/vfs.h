@@ -14,6 +14,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/os/audit.h"
 #include "src/os/filesystem.h"
@@ -62,10 +63,12 @@ class Vfs {
   // Removes every mount at or under `prefix` (session teardown); returns the
   // number removed.
   size_t RemoveMountsUnder(NsId mnt_ns, const std::string& prefix);
-  // Longest-prefix mount lookup in vfs-space.
-  Result<MountEntry> FindMount(NsId mnt_ns, const std::string& vfs_path) const;
-
  private:
+  // Longest-prefix mount lookup in vfs-space; null when no mount in
+  // `table` covers `vfs_path`. Points into `table`, no copy.
+  static const MountEntry* FindMount(const std::vector<MountEntry>& table,
+                                     std::string_view vfs_path);
+
   NamespaceRegistry* registry_;
   AuditLog* audit_;
 };

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "src/nlp/classifier.h"
@@ -122,6 +123,93 @@ TEST_F(LdaTest, DeterministicGivenSeed) {
   b.Train();
   for (int k = 0; k < 3; ++k) {
     EXPECT_EQ(a.TopWords(k, 5)[0].word, b.TopWords(k, 5)[0].word);
+  }
+}
+
+// The fold-in as first written: the phi quotient computed inline from the
+// trained counts, a fresh generator per call.
+std::vector<double> InlineFoldIn(const LdaModel& model, const LdaOptions& options, size_t vocab,
+                                 const std::vector<int>& word_ids, int iterations,
+                                 uint32_t seed) {
+  const size_t K = static_cast<size_t>(options.num_topics);
+  const double alpha = options.alpha;
+  const double beta = options.beta;
+  const double v_beta = static_cast<double>(vocab) * beta;
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<int> topic_dist(0, options.num_topics - 1);
+  std::uniform_real_distribution<double> uniform(0.0, 1.0);
+  std::vector<int> local(K, 0);
+  std::vector<int> z(word_ids.size());
+  for (size_t i = 0; i < word_ids.size(); ++i) {
+    z[i] = topic_dist(rng);
+    ++local[static_cast<size_t>(z[i])];
+  }
+  std::vector<double> weights(K);
+  for (int iter = 0; iter < iterations; ++iter) {
+    for (size_t i = 0; i < word_ids.size(); ++i) {
+      --local[static_cast<size_t>(z[i])];
+      double total = 0.0;
+      for (size_t k = 0; k < K; ++k) {
+        int topic = static_cast<int>(k);
+        double p = (static_cast<double>(model.TopicWordCount(topic, word_ids[i])) + beta) /
+                   (static_cast<double>(model.TopicCount(topic)) + v_beta) *
+                   (static_cast<double>(local[k]) + alpha);
+        total += p;
+        weights[k] = total;
+      }
+      double r = uniform(rng) * total;
+      size_t new_k = static_cast<size_t>(std::lower_bound(weights.begin(), weights.end(), r) -
+                                         weights.begin());
+      if (new_k >= K) {
+        new_k = K - 1;
+      }
+      z[i] = static_cast<int>(new_k);
+      ++local[new_k];
+    }
+  }
+  std::vector<double> out(K);
+  double denom = static_cast<double>(word_ids.size()) + static_cast<double>(K) * alpha;
+  for (size_t k = 0; k < K; ++k) {
+    out[k] = (static_cast<double>(local[k]) + alpha) / denom;
+  }
+  return out;
+}
+
+TEST(LdaOracleTest, TableDrivenFoldInEqualsInlineFormula) {
+  Corpus corpus = MakeCorpus(40, 17);
+  for (int topics : {3, 10}) {
+    LdaOptions options;
+    options.num_topics = topics;
+    options.iterations = 60;
+    options.seed = 4;
+    LdaModel model(&corpus, options);
+    model.Train();
+    const size_t vocab = corpus.vocab().size();
+    const double v_beta = static_cast<double>(vocab) * options.beta;
+    for (int k = 0; k < topics; ++k) {
+      for (size_t w = 0; w < vocab; ++w) {
+        int word = static_cast<int>(w);
+        double inline_phi = (static_cast<double>(model.TopicWordCount(k, word)) + options.beta) /
+                            (static_cast<double>(model.TopicCount(k)) + v_beta);
+        ASSERT_EQ(model.TopicWordProb(k, word), inline_phi) << "topic " << k << " word " << w;
+      }
+    }
+    std::mt19937 rng(99);
+    std::uniform_int_distribution<int> pick(0, static_cast<int>(vocab) - 1);
+    for (int doc = 0; doc < 200; ++doc) {
+      std::vector<int> word_ids(static_cast<size_t>(doc % 25));  // includes the empty doc
+      for (int& id : word_ids) {
+        id = pick(rng);
+      }
+      ASSERT_EQ(model.InferTopics(word_ids),
+                InlineFoldIn(model, options, vocab, word_ids, 50, LdaModel::kDefaultInferSeed))
+          << "topics " << topics << " doc " << doc;
+      uint32_t seed = static_cast<uint32_t>(rng());
+      int iterations = 1 + doc % 40;
+      ASSERT_EQ(model.InferTopics(word_ids, iterations, seed),
+                InlineFoldIn(model, options, vocab, word_ids, iterations, seed))
+          << "topics " << topics << " doc " << doc << " seed " << seed;
+    }
   }
 }
 

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+#include <vector>
+
+#include "src/os/path.h"
+
 namespace witos {
 namespace {
 
@@ -254,6 +260,56 @@ TEST_F(MemFsTest, GenerationUntrackedCases) {
   ASSERT_TRUE(fs_.MkDir("/dir", 0755, Root()).ok());
   EXPECT_EQ(fs_.Generation("/dir"), kNoGeneration);
   EXPECT_EQ(fs_.Generation("relative"), kNoGeneration);
+}
+
+// The walk steps through raw components itself; it must see exactly the
+// components SplitPath yields ("" and "." dropped, ".." kept as a name that
+// never exists). Raw paths mix names, ".", "..", empty components and runs
+// of slashes; each must stat and report a generation exactly as its
+// canonical join does, for root and for a user barred from /priv.
+TEST_F(MemFsTest, WalkMatchesSplitPathOnRawPaths) {
+  fs_.ProvisionFile("/a/b/c.txt", "c");
+  fs_.ProvisionFile("/a/f", "f");
+  fs_.ProvisionFile("/priv/key", "k");
+  fs_.ProvisionDir("/a/b/d");
+  ASSERT_TRUE(fs_.Chmod("/priv", 0700, Root()).ok());
+  const std::vector<std::string> pieces = {"", ".", "..", "a", "b", "c.txt", "d",
+                                           "f", "priv", "key", "zz"};
+  std::mt19937 rng(1013);
+  for (int i = 0; i < 3000; ++i) {
+    std::string raw;
+    int parts = static_cast<int>(rng() % 6);
+    if (rng() % 2 == 0) {
+      raw = "/";
+    }
+    for (int p = 0; p < parts; ++p) {
+      raw += pieces[rng() % pieces.size()];
+      raw.append(rng() % 3, '/');  // zero, one or two slashes
+      if (rng() % 4 == 0) {
+        raw += '/';
+      }
+    }
+    std::string joined = "/";
+    for (const std::string& comp : SplitPath(raw)) {
+      if (joined.size() > 1) {
+        joined += '/';
+      }
+      joined += comp;
+    }
+    for (const Credentials& cred : {Root(), User(1000)}) {
+      auto raw_st = fs_.GetAttr(raw, cred);
+      auto joined_st = fs_.GetAttr(joined, cred);
+      ASSERT_EQ(raw_st.ok(), joined_st.ok()) << "raw '" << raw << "' joined '" << joined << "'";
+      if (raw_st.ok()) {
+        EXPECT_EQ(raw_st->inode, joined_st->inode) << raw;
+        EXPECT_EQ(raw_st->type, joined_st->type) << raw;
+        EXPECT_EQ(raw_st->size, joined_st->size) << raw;
+      } else {
+        EXPECT_EQ(raw_st.error(), joined_st.error()) << raw;
+      }
+    }
+    EXPECT_EQ(fs_.Generation(raw), fs_.Generation(joined)) << raw;
+  }
 }
 
 }  // namespace

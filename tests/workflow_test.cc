@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "src/obs/metrics.h"
+
 namespace watchit {
 namespace {
 
@@ -134,6 +138,35 @@ TEST_F(WorkflowTest, NonT9DeploysOnce) {
   auto resolved = workflow_->Process(Make(2), "userpc", "adminpc");
   ASSERT_TRUE(resolved.ok());
   EXPECT_EQ(resolved->deployments.size(), 1u);
+}
+
+TEST_F(WorkflowTest, PrepareClassifiesEachTicketOnce) {
+  witobs::MetricsRegistry registry;
+  framework_->EnableMetrics(&registry);
+  const witobs::Histogram* latency =
+      registry.FindHistogram("watchit_framework_classify_latency_ns");
+  ASSERT_NE(latency, nullptr);
+  auto classifications = [&registry] {
+    uint64_t total = 0;
+    for (int cls = 1; cls <= 11; ++cls) {
+      total += registry.CounterValue("watchit_framework_classifications_total",
+                                     {{"class", "T-" + std::to_string(cls)}});
+    }
+    return total;
+  };
+  for (int cls = 1; cls <= 11; ++cls) {
+    witload::GeneratedTicket generated = Make(cls);
+    uint64_t counted_before = classifications();
+    uint64_t timed_before = latency->Count();
+    auto prepared = workflow_->Prepare(generated, "userpc", "adminpc");
+    ASSERT_TRUE(prepared.ok()) << "class " << cls;
+    EXPECT_EQ(classifications(), counted_before + 1) << "class " << cls;
+    EXPECT_EQ(latency->Count(), timed_before + 1) << "class " << cls;
+    // Review still assigns the supervisor's class to the one prediction.
+    const ResolvedTicket& resolved = prepared->resolved;
+    EXPECT_EQ(resolved.ticket.assigned_class, generated.true_class);
+    EXPECT_EQ(resolved.classified_correctly, resolved.predicted_class == generated.true_class);
+  }
 }
 
 TEST_F(WorkflowTest, UnknownMachineFails) {
