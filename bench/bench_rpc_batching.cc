@@ -1,18 +1,26 @@
 // Broker RPC batching bench: wire frames, bytes-on-wire and latency per
-// ticket for the v1 one-frame-per-op protocol vs the v2 batched protocol,
-// at 1/2/4/8 concurrent admin sessions.
+// ticket when each op crosses in its own request frame ("per_op") vs when
+// the whole ticket crosses as one batch frame ("batched"), at 1/2/4/8
+// concurrent admin sessions. Both arms speak the same headered wire
+// protocol; only the framing differs.
 //
 // Each worker thread is shared-nothing — its own kernel, policy manager,
 // encrypted RpcChannel, PermissionBroker and BrokerClient — modelling
 // independent machines; the quantity under test is the per-ticket wire
 // cost, which the serving path pays once per ticket after the redesign.
-// Every ticket issues the same 8-op escalation sequence; v1 sends 8
-// singleton Request() calls (16 frames, 8 seal/MAC pairs), v2 queues all 8
-// on the pipeline and Flush()es one batch (2 frames, 1 seal/MAC pair).
+// Every ticket issues the same 8-op escalation sequence; per_op sends 8
+// singleton Request() calls (16 frames, 8 seal/MAC pairs), batched queues
+// all 8 on the pipeline and Flush()es one batch (2 frames, 1 seal/MAC
+// pair).
 //
-// Invariants asserted per run: the secure log carries the SAME number of
-// per-op entries under both protocols (batching amortizes the wire, never
-// the audit trail) and the hash chain verifies.
+// Invariants reported per run: the secure log carries the SAME number of
+// per-op entries under both arms (batching amortizes the wire, never the
+// audit trail) and the hash chain verifies.
+//
+// The contended section runs a shared broker at shards = 1 and shards = 8
+// several times and reports each side's summed lock wait as min / median /
+// max over the runs. The 8-shard wait is near zero, so a ratio of the two
+// would be dominated by noise.
 //
 // `--json PATH` writes the same numbers machine-readably (BENCH_*.json).
 
@@ -298,12 +306,30 @@ ContendedResult RunContended(size_t shards, size_t workers, size_t tickets_per_w
   return result;
 }
 
-void PrintRun(const char* proto, const RunResult& run) {
-  std::printf("%-4s %8zu %10zu %12.1f %14.1f %12.0f %10.1f %10.1f %10.1f %6s\n", proto,
+void PrintRun(const char* arm, const RunResult& run) {
+  std::printf("%-7s %8zu %10zu %12.1f %14.1f %12.0f %10.1f %10.1f %10.1f %6s\n", arm,
               run.workers, run.tickets, run.FramesPerTicket(), run.BytesPerTicket(),
               run.TicketsPerSec(), static_cast<double>(run.p50_ns) / 1e3,
               static_cast<double>(run.p95_ns) / 1e3, static_cast<double>(run.p99_ns) / 1e3,
               run.securelog_verified ? "ok" : "FAIL");
+}
+
+// Min, median and max of one side's lock wait over the contended runs.
+struct Spread {
+  uint64_t min = 0;
+  uint64_t median = 0;
+  uint64_t max = 0;
+};
+
+Spread SpreadOf(std::vector<uint64_t> values) {
+  std::sort(values.begin(), values.end());
+  Spread spread;
+  if (!values.empty()) {
+    spread.min = values.front();
+    spread.median = values[values.size() / 2];
+    spread.max = values.back();
+  }
+  return spread;
 }
 
 }  // namespace
@@ -320,71 +346,78 @@ int main(int argc, char** argv) {
 
   std::printf("=== broker rpc batching: %zu-op tickets, %zu tickets/worker ===\n",
               kOpsPerTicket, tickets_per_worker);
-  std::printf("%-4s %8s %10s %12s %14s %12s %10s %10s %10s %6s\n", "rpc", "workers",
+  std::printf("%-7s %8s %10s %12s %14s %12s %10s %10s %10s %6s\n", "arm", "workers",
               "tickets", "frames/tkt", "bytes/tkt", "tickets/s", "p50 us", "p95 us",
               "p99 us", "log");
 
-  std::vector<RunResult> v1_runs;
-  std::vector<RunResult> v2_runs;
+  std::vector<RunResult> per_op_runs;
+  std::vector<RunResult> batched_runs;
   bool log_counts_equal = true;
   for (size_t workers : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    RunResult v1 = RunOnce(/*batched=*/false, workers, tickets_per_worker);
-    RunResult v2 = RunOnce(/*batched=*/true, workers, tickets_per_worker);
-    PrintRun("v1", v1);
-    PrintRun("v2", v2);
-    log_counts_equal = log_counts_equal && v1.securelog_entries == v2.securelog_entries;
-    v1_runs.push_back(v1);
-    v2_runs.push_back(v2);
+    RunResult per_op = RunOnce(/*batched=*/false, workers, tickets_per_worker);
+    RunResult batched = RunOnce(/*batched=*/true, workers, tickets_per_worker);
+    PrintRun("per_op", per_op);
+    PrintRun("batched", batched);
+    log_counts_equal =
+        log_counts_equal && per_op.securelog_entries == batched.securelog_entries;
+    per_op_runs.push_back(per_op);
+    batched_runs.push_back(batched);
   }
 
   const double frame_reduction =
-      v2_runs.front().FramesPerTicket() == 0.0
+      batched_runs.front().FramesPerTicket() == 0.0
           ? 0.0
-          : v1_runs.front().FramesPerTicket() / v2_runs.front().FramesPerTicket();
+          : per_op_runs.front().FramesPerTicket() / batched_runs.front().FramesPerTicket();
   const double bytes_reduction =
-      v2_runs.front().BytesPerTicket() == 0.0
+      batched_runs.front().BytesPerTicket() == 0.0
           ? 0.0
-          : v1_runs.front().BytesPerTicket() / v2_runs.front().BytesPerTicket();
+          : per_op_runs.front().BytesPerTicket() / batched_runs.front().BytesPerTicket();
   std::printf("\nwire frames per ticket: %.1f -> %.1f (%.1fx, acceptance target >= 4x)\n",
-              v1_runs.front().FramesPerTicket(), v2_runs.front().FramesPerTicket(),
+              per_op_runs.front().FramesPerTicket(), batched_runs.front().FramesPerTicket(),
               frame_reduction);
   std::printf("bytes on wire per ticket: %.0f -> %.0f (%.2fx, acceptance target >= 2x)\n",
-              v1_runs.front().BytesPerTicket(), v2_runs.front().BytesPerTicket(),
+              per_op_runs.front().BytesPerTicket(), batched_runs.front().BytesPerTicket(),
               bytes_reduction);
-  std::printf("secure-log entries identical across protocols: %s; chains verified: %s\n",
-              log_counts_equal ? "yes" : "NO", v2_runs.back().securelog_verified ? "yes" : "NO");
+  std::printf("secure-log entries identical across arms: %s; chains verified: %s\n",
+              log_counts_equal ? "yes" : "NO",
+              batched_runs.back().securelog_verified ? "yes" : "NO");
 
   constexpr size_t kContendedWorkers = 8;
+  constexpr size_t kContendedRuns = 5;
   const size_t contended_tickets = tickets_per_worker / 2;
-  std::printf("\n=== contended shared broker: %zu threads, one broker, %zu tickets/thread "
-              "===\n",
-              kContendedWorkers, contended_tickets);
-  std::printf("%-8s %10s %12s %16s %14s %8s %6s\n", "shards", "tickets", "tickets/s",
-              "lock wait ms", "wait us/tkt", "epochs", "log");
+  std::printf("\n=== contended shared broker: %zu threads, one broker, %zu tickets/thread, "
+              "%zu runs per side ===\n",
+              kContendedWorkers, contended_tickets, kContendedRuns);
+  std::printf("%-8s %5s %10s %12s %16s %14s %8s %6s\n", "shards", "run", "tickets",
+              "tickets/s", "lock wait ms", "wait us/tkt", "epochs", "log");
   std::vector<ContendedResult> contended;
-  for (size_t shards : {size_t{1}, size_t{8}}) {
-    ContendedResult run = RunContended(shards, kContendedWorkers, contended_tickets);
-    std::printf("%-8zu %10zu %12.0f %16.3f %14.2f %8zu %6s\n", run.shards, run.tickets,
-                run.TicketsPerSec(), static_cast<double>(run.lock_wait_ns) / 1e6,
-                run.WaitUsPerTicket(), run.epoch_roots, run.log_verified ? "ok" : "FAIL");
-    contended.push_back(run);
+  std::vector<uint64_t> waits_1;
+  std::vector<uint64_t> waits_8;
+  for (size_t r = 0; r < kContendedRuns; ++r) {
+    for (size_t shards : {size_t{1}, size_t{8}}) {
+      ContendedResult run = RunContended(shards, kContendedWorkers, contended_tickets);
+      std::printf("%-8zu %5zu %10zu %12.0f %16.3f %14.2f %8zu %6s\n", run.shards, r,
+                  run.tickets, run.TicketsPerSec(),
+                  static_cast<double>(run.lock_wait_ns) / 1e6, run.WaitUsPerTicket(),
+                  run.epoch_roots, run.log_verified ? "ok" : "FAIL");
+      (shards == 1 ? waits_1 : waits_8).push_back(run.lock_wait_ns);
+      contended.push_back(run);
+    }
   }
-  // A fully-collapsed sharded side (0 ns measured wait) would divide by
-  // zero; clamp the denominator to 1 us so the ratio stays finite while
-  // still reading as "orders of magnitude".
-  const double wait_reduction =
-      static_cast<double>(contended.front().lock_wait_ns) /
-      static_cast<double>(std::max<uint64_t>(contended.back().lock_wait_ns, 1000));
-  std::printf("broker+securelog lock wait, 1 shard vs 8: %.1fx reduction "
-              "(host-core independent)\n",
-              wait_reduction);
+  const Spread wait_1 = SpreadOf(waits_1);
+  const Spread wait_8 = SpreadOf(waits_8);
+  for (const auto& [shards, spread] : {std::pair{1, wait_1}, std::pair{8, wait_8}}) {
+    std::printf("broker+securelog lock wait, %d shard(s): min %.3f / median %.3f / max %.3f ms\n",
+                shards, static_cast<double>(spread.min) / 1e6,
+                static_cast<double>(spread.median) / 1e6, static_cast<double>(spread.max) / 1e6);
+  }
 
   if (!json_path.empty()) {
     benchjson::Array runs;
-    for (size_t i = 0; i < v1_runs.size(); ++i) {
-      for (const RunResult* run : {&v1_runs[i], &v2_runs[i]}) {
+    for (size_t i = 0; i < per_op_runs.size(); ++i) {
+      for (const RunResult* run : {&per_op_runs[i], &batched_runs[i]}) {
         benchjson::Object obj;
-        obj.Str("protocol", run == &v1_runs[i] ? "v1" : "v2")
+        obj.Str("arm", run == &per_op_runs[i] ? "per_op" : "batched")
             .Number("workers", run->workers)
             .Number("tickets", run->tickets)
             .Number("frames", run->frames)
@@ -414,16 +447,23 @@ int main(int argc, char** argv) {
           .Boolean("securelog_verified", run.log_verified);
       contended_array.Add(obj.Render());
     }
+    auto spread_json = [](const Spread& spread) {
+      benchjson::Object obj;
+      obj.Number("min", spread.min).Number("median", spread.median).Number("max", spread.max);
+      return obj.Render();
+    };
     benchjson::Object root;
     root.Str("bench", "rpc_batching")
         .Number("ops_per_ticket", kOpsPerTicket)
         .Number("tickets_per_worker", tickets_per_worker)
         .Add("runs", runs.Render())
-        .Number("frame_reduction_v1_over_v2", frame_reduction)
-        .Number("bytes_reduction_v1_over_v2", bytes_reduction)
+        .Number("frame_reduction_per_op_over_batched", frame_reduction)
+        .Number("bytes_reduction_per_op_over_batched", bytes_reduction)
         .Boolean("securelog_counts_equal", log_counts_equal)
+        .Number("contended_runs_per_side", kContendedRuns)
         .Add("contended", contended_array.Render())
-        .Number("contended_lock_wait_reduction_1_over_8", wait_reduction);
+        .Add("contended_lock_wait_ns_1_shard", spread_json(wait_1))
+        .Add("contended_lock_wait_ns_8_shards", spread_json(wait_8));
     benchjson::WriteFile(json_path, root.Render());
   }
   return 0;

@@ -45,8 +45,8 @@ PermissionBroker::PermissionBroker(witos::Kernel* kernel, witos::Pid host_pid,
     event_shards_.push_back(std::make_unique<EventShard>("broker.events" + suffix));
     ticket_shards_.push_back(std::make_unique<TicketShard>("broker.tickets" + suffix));
   }
-  channel->Bind([this](const RpcRequest& request) { return Handle(request); });
-  channel->BindBatch([this](const RpcBatchRequest& batch) { return HandleBatch(batch); });
+  channel->Bind([this](const RpcRequest& request) { return Handle(request); },
+                [this](const RpcBatchRequest& batch) { return HandleBatch(batch); });
 }
 
 witos::Status PermissionBroker::BindTicket(const std::string& ticket_id,
@@ -146,18 +146,9 @@ void PermissionBroker::PushEventLocked(EventShard* shard, BrokerEvent event) {
   shard->events.push_back(std::move(event));
 }
 
-void PermissionBroker::RecordEvent(BrokerEvent event) {
-  EventShard& shard = EventShardOf(event.ticket_id);
-  std::lock_guard<witobs::ProfiledMutex> lock(shard.mu);
-  PushEventLocked(&shard, std::move(event));
-}
-
 void PermissionBroker::RecordEvents(std::vector<BrokerEvent> events) {
-  if (events.empty()) {
-    return;
-  }
-  // A batch is one ticket's ops (the batch header carries the ticket), so
-  // the whole vector lands on one shard under one lock acquisition.
+  // One ticket's ops, so the whole vector lands on one shard under one lock
+  // acquisition.
   EventShard& shard = EventShardOf(events.front().ticket_id);
   std::lock_guard<witobs::ProfiledMutex> lock(shard.mu);
   for (BrokerEvent& event : events) {
@@ -315,94 +306,81 @@ std::string PermissionBroker::LogLine(const RpcRequest& request,
 
 RpcResponse PermissionBroker::Handle(const RpcRequest& request) {
   witobs::Span span(tracer_, "broker.handle", request.ticket_id);
-  uint64_t now = 0;
-  {
-    auto kernel_lock = LockKernel();
-    now = kernel_->clock().now_ns();
-  }
-  std::string ticket_class = TicketClassOf(request.ticket_id);
-
-  bool policy_allowed =
-      policy_->IsAllowed(ticket_class, request.method, request.admin, EndpointOf(request));
-  bool allowed = policy_allowed && policy_->AdmitRate(ticket_class, request.admin, now);
-  ShadowCheck(request, ticket_class, policy_allowed);
-
-  RecordEvent(MakeEvent(request, ticket_class, now, allowed));
-  CountRequest(request, allowed);
-
-  // "Either way, these requests are logged in real-time to a secure
-  // append-only storage device." The ticket hash routes the entry to its
-  // shard chain, so one ticket's records stay in per-op order.
-  std::string log_line = LogLine(request, ticket_class, allowed);
-  log_.Append(log_line, now, TicketShardKey(request.ticket_id));
-  kernel_->audit().Append(
-      allowed ? witos::AuditEvent::kBrokerRequest : witos::AuditEvent::kBrokerDenied,
-      request.caller_pid, request.uid, log_line, now);
-
-  if (!allowed) {
-    return Fail(witos::Err::kPerm);
-  }
-  auto kernel_lock = LockKernel();
-  uint64_t dispatch_start = kernel_->clock().now_ns();
-  RpcResponse response = Dispatch(request);
-  if (dispatch_latency_ != nullptr) {
-    dispatch_latency_->Observe(kernel_->clock().now_ns() - dispatch_start);
-  }
+  RpcResponse response;
+  Serve({&request, 1}, {&response, 1});
   return response;
 }
 
 RpcBatchResponse PermissionBroker::HandleBatch(const RpcBatchRequest& batch) {
   witobs::Span span(tracer_, "broker.handle_batch", batch.ticket_id);
+  std::vector<RpcRequest> requests;
+  requests.reserve(batch.ops.size());
+  for (size_t i = 0; i < batch.ops.size(); ++i) {
+    requests.push_back(batch.SubRequest(i));
+  }
+  RpcBatchResponse response;
+  response.responses.resize(requests.size());
+  Serve(requests, response.responses);
+  return response;
+}
+
+void PermissionBroker::Serve(std::span<const RpcRequest> requests,
+                             std::span<RpcResponse> responses) {
+  if (requests.empty()) {
+    return;
+  }
   uint64_t now = 0;
   {
     auto kernel_lock = LockKernel();
     now = kernel_->clock().now_ns();
   }
-  // One policy-context lookup for the whole batch: the ticket class is
-  // header state, not per-op state.
-  std::string ticket_class = TicketClassOf(batch.ticket_id);
+  // Every request of one call names the same ticket (a batch states it once
+  // in its header), so the class lookup, the event shard and the log chain
+  // are all the ticket's own.
+  const std::string& ticket_id = requests.front().ticket_id;
+  std::string ticket_class = TicketClassOf(ticket_id);
 
-  RpcBatchResponse response;
-  response.responses.resize(batch.ops.size());
-  std::vector<bool> allowed(batch.ops.size(), false);
+  std::vector<bool> allowed(requests.size(), false);
   std::vector<BrokerEvent> events;
   std::vector<std::string> log_lines;
-  events.reserve(batch.ops.size());
-  log_lines.reserve(batch.ops.size());
+  events.reserve(requests.size());
+  log_lines.reserve(requests.size());
+  bool any_allowed = false;
 
   // Per-op accountability first (Table 1: every request, granted or denied,
-  // leaves its own record): policy decisions, events, log lines and kernel
-  // audit records are computed per op...
-  for (size_t i = 0; i < batch.ops.size(); ++i) {
-    RpcRequest request = batch.SubRequest(i);
+  // leaves its own record)...
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const RpcRequest& request = requests[i];
     bool policy_allowed =
         policy_->IsAllowed(ticket_class, request.method, request.admin, EndpointOf(request));
-    allowed[i] = policy_allowed && policy_->AdmitRate(ticket_class, request.admin, now);
+    bool granted = policy_allowed && policy_->AdmitRate(ticket_class, request.admin, now);
+    allowed[i] = granted;
+    any_allowed |= granted;
     ShadowCheck(request, ticket_class, policy_allowed);
-    events.push_back(MakeEvent(request, ticket_class, now, allowed[i]));
-    CountRequest(request, allowed[i]);
-    log_lines.push_back(LogLine(request, ticket_class, allowed[i]));
+    events.push_back(MakeEvent(request, ticket_class, now, granted));
+    CountRequest(request, granted);
+    // "Either way, these requests are logged in real-time to a secure
+    // append-only storage device."
+    log_lines.push_back(LogLine(request, ticket_class, granted));
     kernel_->audit().Append(
-        allowed[i] ? witos::AuditEvent::kBrokerRequest : witos::AuditEvent::kBrokerDenied,
+        granted ? witos::AuditEvent::kBrokerRequest : witos::AuditEvent::kBrokerDenied,
         request.caller_pid, request.uid, log_lines.back(), now);
   }
-  // ...but the shared structures are entered once: a single lock acquisition
-  // appends every event, and a single SecureLog critical section chains
-  // every per-op entry — both on the ticket's own shard.
+  // ...but the shared structures are entered once: one lock acquisition
+  // appends every event and one SecureLog critical section chains every
+  // per-op entry, both on the ticket's own shard in per-op order.
   RecordEvents(std::move(events));
-  log_.AppendBatch(log_lines, now, TicketShardKey(batch.ticket_id));
+  log_.AppendBatch(std::move(log_lines), now, TicketShardKey(ticket_id));
 
-  // Dispatch the granted ops (denied ones answer EPERM positionally).
+  // Dispatch the granted ops; denied ones answer EPERM positionally.
   auto kernel_lock = LockKernel();
   uint64_t dispatch_start = kernel_->clock().now_ns();
-  for (size_t i = 0; i < batch.ops.size(); ++i) {
-    response.responses[i] =
-        allowed[i] ? Dispatch(batch.SubRequest(i)) : Fail(witos::Err::kPerm);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    responses[i] = allowed[i] ? Dispatch(requests[i]) : Fail(witos::Err::kPerm);
   }
-  if (dispatch_latency_ != nullptr) {
+  if (any_allowed && dispatch_latency_ != nullptr) {
     dispatch_latency_->Observe(kernel_->clock().now_ns() - dispatch_start);
   }
-  return response;
 }
 
 RpcResponse PermissionBroker::Dispatch(const RpcRequest& request) {

@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -112,14 +113,15 @@ class PermissionBroker {
   using VerbHandler = std::function<RpcResponse(const RpcRequest&)>;
   void RegisterVerb(const std::string& verb, VerbHandler handler);
 
-  // Exposed for tests; normal callers go through the RpcChannel.
+  // The two entry points the channel serves: one request (interactive
+  // `PB <verb>`) or one ticket's batch. Both run the same per-op core, so a
+  // batch of N ops leaves exactly what N single requests would: N broker
+  // events, N secure-log entries and N kernel audit records (Table 1
+  // threat semantics). A batch pays the ticket-class lookup, the event-
+  // window lock and the SecureLog critical section once. Responses are
+  // positional. Exposed for tests and benches; normal callers go through
+  // the RpcChannel.
   RpcResponse Handle(const RpcRequest& request);
-
-  // Batched entry point (rpc v2): one policy-context lookup, one structured-
-  // event append and one SecureLog critical-section entry for the whole
-  // batch, while the audit trail stays strictly per-op — N sub-requests
-  // still produce N broker events, N secure-log entries and N kernel audit
-  // records (Table 1 threat semantics). Responses are positional.
   RpcBatchResponse HandleBatch(const RpcBatchRequest& batch);
 
   // Wires the broker into the observability layer: request counters by verb
@@ -186,11 +188,16 @@ class PermissionBroker {
   }
   void PushEventLocked(EventShard* shard, BrokerEvent event);
 
+  // The one request path behind Handle and HandleBatch. `requests` all
+  // name one ticket. Per op: policy check, rate admission, shadow check,
+  // BrokerEvent, counters, SecureLog line and kernel audit record; then,
+  // under LockKernel(), dispatch of the granted ops into `responses`.
+  void Serve(std::span<const RpcRequest> requests, std::span<RpcResponse> responses);
   RpcResponse Dispatch(const RpcRequest& request);
   RpcResponse Ok(std::string payload) const;
   RpcResponse Fail(witos::Err err) const;
 
-  // Shared per-op accountability pieces used by Handle and HandleBatch.
+  // Per-op accountability pieces used by Serve.
   std::string TicketClassOf(const std::string& ticket_id) const;
   BrokerEvent MakeEvent(const RpcRequest& request, const std::string& ticket_class,
                         uint64_t now, bool allowed);
@@ -210,7 +217,6 @@ class PermissionBroker {
   RpcResponse HandleReboot(const RpcRequest& request);
   RpcResponse HandleDriverUpdate(const RpcRequest& request);
 
-  void RecordEvent(BrokerEvent event);
   void RecordEvents(std::vector<BrokerEvent> events);
   // Holds Options::kernel_mu when one was given; otherwise owns nothing.
   std::unique_lock<std::mutex> LockKernel() const;
@@ -245,7 +251,7 @@ class PermissionBroker {
 // requests from privileged users").
 //
 // Two calling styles:
-//  * Request(): one verb, one wire crossing — the v1 interaction.
+//  * Request(): one verb, one request frame — the interactive `PB` command.
 //  * Begin()/Queue()/Flush(): pipelining — queued verbs ride a single
 //    RpcBatchRequest frame, so a whole ticket's escalations pay one
 //    serialization + one seal/MAC. Flush() yields positional per-op

@@ -5,12 +5,12 @@
 // TCP/IP + gRPC.
 //
 // Wire protocol v2: every frame starts with a magic+version+kind header and
-// errors cross the wire as typed witos::Err codes. Headerless v1 frames
-// (stringly-typed errors, one frame per op) still deserialize — the decoders
-// fall back to the v1 layout when the magic is absent, so an old client can
-// talk to a new broker. Batch frames (`RpcBatchRequest`/`RpcBatchResponse`)
-// carry N sub-operations with the ticket/admin/uid header stated once and
-// are sealed/MACed once per batch instead of once per op.
+// errors cross the wire as typed witos::Err codes; a frame without that
+// header is rejected with EINVAL. Two request shapes share the protocol: a
+// single request (the interactive `PB` command, one op per crossing) and a
+// batch (`RpcBatchRequest`/`RpcBatchResponse`) carrying one ticket's N
+// sub-operations with the ticket/admin/uid header stated once, sealed and
+// MACed once per batch instead of once per op.
 
 #ifndef SRC_BROKER_RPC_H_
 #define SRC_BROKER_RPC_H_
@@ -26,9 +26,7 @@
 
 namespace witbroker {
 
-// v2 frame header: "WIT2" little-endian magic, then version, then kind.
-// A v1 frame can only collide with the magic if its leading length prefix
-// claims an ~840 MB method string, which the reader rejects anyway.
+// Frame header: "WIT2" little-endian magic, then version, then kind.
 inline constexpr uint32_t kRpcMagic = 0x32544957;  // "WIT2"
 inline constexpr uint32_t kRpcVersion = 2;
 
@@ -39,10 +37,6 @@ enum class RpcFrameKind : uint32_t {
   kBatchResponse = 4,
 };
 
-// True when `data` begins with the v2 magic (the frame still has to pass
-// version/kind validation to decode).
-bool HasRpcMagic(std::string_view data);
-
 struct RpcRequest {
   std::string method;
   std::vector<std::string> args;
@@ -51,8 +45,8 @@ struct RpcRequest {
   std::string ticket_id;    // ticket the session is bound to
   std::string admin;        // administrator identity from the certificate
 
-  std::string Serialize() const;  // emits a v2 frame
-  // Accepts v2 frames and headerless v1 frames.
+  std::string Serialize() const;
+  // EINVAL on any frame that is not a well-formed request frame.
   static witos::Result<RpcRequest> Deserialize(std::string_view data);
 };
 
@@ -62,13 +56,12 @@ struct RpcResponse {
   std::string payload;               // method-specific result
 
   // Display name for the error ("EPERM"), derived from `err`; empty for ok
-  // responses. This replaces the v1 wire field — the name never crosses the
-  // wire in v2, it is recomputed from the code.
+  // responses. Only the code crosses the wire.
   std::string error_name() const;
 
-  std::string Serialize() const;  // emits a v2 frame
-  // Accepts v2 frames and headerless v1 frames; a v1 errno-name string is
-  // mapped back onto the enum (unknown names degrade to kIo).
+  std::string Serialize() const;
+  // EINVAL on any frame that is not a well-formed response frame,
+  // including an error code outside the enum.
   static witos::Result<RpcResponse> Deserialize(std::string_view data);
 
   // Body-only (de)serialization, shared with the batch framing.
@@ -92,8 +85,8 @@ struct RpcBatchRequest {
   std::string admin;
   std::vector<RpcSubRequest> ops;
 
-  // Materializes sub-request `i` with the shared header applied, for
-  // dispatch through code written against RpcRequest.
+  // Materializes sub-request `i` with the shared header applied; the
+  // broker serves each op as an RpcRequest.
   RpcRequest SubRequest(size_t i) const;
 
   std::string Serialize() const;
@@ -111,7 +104,8 @@ struct RpcBatchResponse {
 };
 
 // One endpoint (the broker server) bound to a transport. Calls serialize
-// the request, traverse the "wire", and deserialize the response.
+// the request, traverse the "wire", and deserialize the response. The
+// server binds one handler per request shape.
 //
 // Transport encryption (paper §5.4: "If one wishes to further secure the
 // communication between the perforated container and the permission broker,
@@ -124,11 +118,10 @@ class RpcChannel {
   using Handler = std::function<RpcResponse(const RpcRequest&)>;
   using BatchHandler = std::function<RpcBatchResponse(const RpcBatchRequest&)>;
 
-  void Bind(Handler handler) { handler_ = std::move(handler); }
-  // Servers that understand batches natively bind this too; without it,
-  // CallBatch falls back to dispatching each sub-request through the
-  // single-op handler (correct, but without the server-side amortization).
-  void BindBatch(BatchHandler handler) { batch_handler_ = std::move(handler); }
+  void Bind(Handler handler, BatchHandler batch_handler) {
+    handler_ = std::move(handler);
+    batch_handler_ = std::move(batch_handler);
+  }
   bool bound() const { return handler_ != nullptr; }
   void Unbind() {
     handler_ = nullptr;
@@ -139,7 +132,8 @@ class RpcChannel {
 
   // One frame out, one frame back, regardless of ops.size(). Atomic: any
   // transport/authentication/framing failure yields an error Result and no
-  // sub-operation executes or is answered.
+  // sub-operation executes or is answered. ECONNREFUSED when nothing is
+  // bound.
   witos::Result<RpcBatchResponse> CallBatch(const RpcBatchRequest& request);
 
   void EnableEncryption(uint64_t shared_secret);

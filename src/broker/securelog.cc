@@ -106,7 +106,7 @@ void SecureLog::Append(std::string payload, uint64_t time_ns) {
   Append(std::move(payload), time_ns, key);
 }
 
-void SecureLog::AppendBatch(const std::vector<std::string>& payloads, uint64_t time_ns,
+void SecureLog::AppendBatch(std::vector<std::string> payloads, uint64_t time_ns,
                             uint64_t shard_key) {
   if (payloads.empty()) {
     return;
@@ -115,17 +115,11 @@ void SecureLog::AppendBatch(const std::vector<std::string>& payloads, uint64_t t
   Segment* segment = segments_[shard].get();
   {
     std::lock_guard<witobs::ProfiledMutex> lock(segment->mu);
-    for (const std::string& payload : payloads) {
-      AppendLocked(shard, payload, time_ns, /*notify=*/true);
+    for (std::string& payload : payloads) {
+      AppendLocked(shard, std::move(payload), time_ns, /*notify=*/true);
     }
   }
   MaybeAutoSeal(time_ns, payloads.size());
-}
-
-void SecureLog::AppendBatch(const std::vector<std::string>& payloads, uint64_t time_ns) {
-  uint64_t key =
-      segments_.size() == 1 || payloads.empty() ? 0 : Fnv1a(payloads.front());
-  AppendBatch(payloads, time_ns, key);
 }
 
 bool SecureLog::VerifyChain(const std::vector<SecureLogEntry>& entries) {

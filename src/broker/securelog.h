@@ -88,13 +88,12 @@ class SecureLog {
   void Append(std::string payload, uint64_t time_ns, uint64_t shard_key);
   void Append(std::string payload, uint64_t time_ns);
 
-  // Appends one entry per payload under a single shard-lock acquisition —
-  // the broker uses this for batched RPC so a ticket's N per-op records
-  // cost one critical-section entry while staying N distinct, chain-linked
-  // entries (the audit trail is per-op regardless of framing).
-  void AppendBatch(const std::vector<std::string>& payloads, uint64_t time_ns,
-                   uint64_t shard_key);
-  void AppendBatch(const std::vector<std::string>& payloads, uint64_t time_ns);
+  // Appends one entry per payload, in order, under a single shard-lock
+  // acquisition on the shard chosen by `shard_key`. The broker logs every
+  // request through this, so a ticket's N per-op records cost one
+  // critical-section entry while staying N distinct, chain-linked entries
+  // (the audit trail is per-op regardless of framing).
+  void AppendBatch(std::vector<std::string> payloads, uint64_t time_ns, uint64_t shard_key);
 
   // True if every shard chain is intact AND every sealed epoch root still
   // matches the chains (see VerifyEpochRoots).

@@ -41,9 +41,12 @@ std::string CertStatusName(CertStatus status);
 // One CA serves the whole cluster, so Issue/Validate/Revoke are internally
 // synchronized: every serving worker deploys (issues) and expires (revokes)
 // through this object concurrently. The signature is a keyed FNV-1a over
-// "admin|machine|ticket|class|serial|issued|expires" (numbers in decimal);
-// Validate checks it before taking the CA lock, which covers only the
-// issue/revoke books (DESIGN.md "Admin op path").
+// admin, machine, ticket and class, each as its length (a LEB128 varint)
+// followed by its bytes, then serial, issued and expires as 8-byte
+// little-endian numbers. The length prefixes keep a field's bytes from
+// being reread as part of its neighbour. Validate checks the signature
+// before taking the CA lock, which covers only the issue/revoke books
+// (DESIGN.md "Admin op path").
 class CertificateAuthority {
  public:
   explicit CertificateAuthority(uint64_t secret = 0x57a7c417u) : secret_(secret) {}

@@ -84,9 +84,13 @@ class AdminSession {
 
   // One op's pre-broker attempt: true if it succeeded inside the container
   // view; otherwise *verb/*args name the broker escalation (verb stays
-  // empty when no escalation applies, e.g. a failed victim spawn).
+  // empty when no escalation applies, e.g. a failed victim spawn). A
+  // kill-process op's host-side victim joins victims_.
   bool TryInView(const witload::RequiredOp& op, std::string* verb,
                  std::vector<std::string>* args);
+  // Ends (if the op did not kill it) and reaps every victim in victims_;
+  // called once the ops' outcomes are known.
+  void ReapVictims();
   // Post-grant completion for ops that re-enter the widened view; returns
   // the op's final broker_ok given whether the broker granted it.
   bool CompleteAfterBroker(const witload::RequiredOp& op, bool granted);
@@ -99,6 +103,7 @@ class AdminSession {
   std::unique_ptr<witbroker::BrokerClient> broker_client_;
   witos::Pid shell_ = witos::kNoPid;
   bool logged_in_ = false;
+  std::vector<witos::Pid> victims_;
 };
 
 }  // namespace watchit

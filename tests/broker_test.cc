@@ -99,9 +99,10 @@ TEST(RpcTest, BatchRoundTripLaw) {
   EXPECT_EQ(decoded_resp->responses[1].err, witos::Err::kPerm);
 }
 
-TEST(RpcTest, V1FramesStillDeserialize) {
-  // A v1 peer sends headerless frames with the error as an errno-name
-  // string; both must keep decoding after the v2 redesign.
+TEST(RpcTest, HeaderlessFramesAreRejected) {
+  // Only headered frames decode: a request or response body without the
+  // magic+version+kind header (the retired v1 layout, errors as errno-name
+  // strings) is EINVAL, never a best-effort parse.
   WireWriter req_writer;
   req_writer.PutString("ps");
   req_writer.PutStringList({"-a"});
@@ -110,30 +111,26 @@ TEST(RpcTest, V1FramesStillDeserialize) {
   req_writer.PutString("TKT-1");
   req_writer.PutString("alice");
   auto req = RpcRequest::Deserialize(req_writer.data());
-  ASSERT_TRUE(req.ok());
-  EXPECT_EQ(req->method, "ps");
-  EXPECT_EQ(req->caller_pid, 42);
+  ASSERT_FALSE(req.ok());
+  EXPECT_EQ(req.error(), witos::Err::kInval);
 
   WireWriter resp_writer;
   resp_writer.PutBool(false);
   resp_writer.PutString("EACCES");
   resp_writer.PutString("");
   auto resp = RpcResponse::Deserialize(resp_writer.data());
-  ASSERT_TRUE(resp.ok());
-  EXPECT_FALSE(resp->ok);
-  EXPECT_EQ(resp->err, witos::Err::kAcces);
-  EXPECT_EQ(resp->error_name(), "EACCES");
+  ASSERT_FALSE(resp.ok());
+  EXPECT_EQ(resp.error(), witos::Err::kInval);
 
-  // v1 success frames carried an empty error string, which must map to
-  // kOk, not to the unknown-name fallback.
-  WireWriter ok_writer;
-  ok_writer.PutBool(true);
-  ok_writer.PutString("");
-  ok_writer.PutString("payload");
-  auto ok_resp = RpcResponse::Deserialize(ok_writer.data());
-  ASSERT_TRUE(ok_resp.ok());
-  EXPECT_TRUE(ok_resp->ok);
-  EXPECT_EQ(ok_resp->err, witos::Err::kOk);
+  // The same body behind a valid header decodes.
+  WireWriter headered;
+  headered.PutU32(kRpcMagic);
+  headered.PutU32(kRpcVersion);
+  headered.PutU32(static_cast<uint32_t>(RpcFrameKind::kRequest));
+  auto decoded = RpcRequest::Deserialize(headered.data() + req_writer.data());
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->method, "ps");
+  EXPECT_EQ(decoded->caller_pid, 42);
 }
 
 TEST(RpcTest, TrailingGarbageRejected) {

@@ -1,6 +1,6 @@
-// Certificate authority tests: the streamed signature against the
-// string-built one it replaces, verdict precedence, and Validate racing
-// Issue/Revoke.
+// Certificate authority tests: the streamed signature against a string-built
+// oracle of its byte layout, field-shifting forgeries, verdict precedence,
+// and Validate racing Issue/Revoke.
 
 #include "src/core/certificate.h"
 
@@ -23,11 +23,33 @@ namespace {
 constexpr uint64_t kSecret = 0x57a7c417u;  // CertificateAuthority's default
 constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
 
-// The signature as first specified: FNV-1a over one built string.
+void AppendU64(std::string* out, uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    *out += static_cast<char>((value >> (8 * i)) & 0xff);
+  }
+}
+
+void AppendLeb128(std::string* out, uint64_t value) {
+  while (value >= 0x80) {
+    *out += static_cast<char>((value & 0x7f) | 0x80);
+    value >>= 7;
+  }
+  *out += static_cast<char>(value);
+}
+
+// The signature as specified: FNV-1a over one built string holding each
+// string field behind its LEB128 length, then the three numbers as 8-byte
+// little-endian values.
 uint64_t StringBuiltSignature(const Certificate& cert, uint64_t secret) {
-  std::string material = cert.admin + "|" + cert.machine + "|" + cert.ticket_id + "|" +
-                         cert.ticket_class + "|" + std::to_string(cert.serial) + "|" +
-                         std::to_string(cert.issued_ns) + "|" + std::to_string(cert.expires_ns);
+  std::string material;
+  for (const std::string* field : {&cert.admin, &cert.machine, &cert.ticket_id,
+                                   &cert.ticket_class}) {
+    AppendLeb128(&material, field->size());
+    material += *field;
+  }
+  AppendU64(&material, cert.serial);
+  AppendU64(&material, cert.issued_ns);
+  AppendU64(&material, cert.expires_ns);
   return witbroker::Fnv1a(material, secret);
 }
 
@@ -79,6 +101,11 @@ TEST(CertificateSignTest, MatchesStringBuiltSignatureOnSeededCerts) {
 
 TEST(CertificateSignTest, ExtremeValuesSignAndValidate) {
   CertificateAuthority ca(kSecret);
+  // Field lengths that need one, two and three varint bytes.
+  for (size_t len : {size_t{127}, size_t{128}, size_t{20000}}) {
+    Certificate long_field = ca.Issue(std::string(len, 'a'), "pc", "TKT", "T-1", 0, 10);
+    EXPECT_EQ(long_field.signature, StringBuiltSignature(long_field, kSecret)) << len;
+  }
   Certificate cert = ca.Issue("a|b", "", "TKT", "T-1", 0, kMax);
   EXPECT_EQ(cert.signature, StringBuiltSignature(cert, kSecret));
   EXPECT_EQ(ca.Validate(cert, 0), CertStatus::kValid);
@@ -86,6 +113,23 @@ TEST(CertificateSignTest, ExtremeValuesSignAndValidate) {
   Certificate tampered = cert;
   tampered.machine = "pc";
   EXPECT_EQ(ca.Validate(tampered, 0), CertStatus::kForged);
+}
+
+TEST(CertificateSignTest, FieldShiftingForgeryIsRejected) {
+  // Moving a '|'-containing suffix of one field into the next must not keep
+  // the signature valid: admin "alice|ops" on "pc1" is not admin "alice" on
+  // "ops|pc1".
+  CertificateAuthority ca(kSecret);
+  Certificate cert = ca.Issue("alice|ops", "pc1", "TKT-1", "T-1", 0, 1000);
+  ASSERT_EQ(ca.Validate(cert, 0), CertStatus::kValid);
+  Certificate shifted = cert;
+  shifted.admin = "alice";
+  shifted.machine = "ops|pc1";
+  EXPECT_EQ(ca.Validate(shifted, 0), CertStatus::kForged);
+  Certificate shifted_class = cert;
+  shifted_class.ticket_id = "TKT-1|T-1";
+  shifted_class.ticket_class = "";
+  EXPECT_EQ(ca.Validate(shifted_class, 0), CertStatus::kForged);
 }
 
 TEST(CertificateSignTest, IssuedCertsCarryTheStringBuiltSignature) {

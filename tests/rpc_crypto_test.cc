@@ -16,9 +16,16 @@ RpcChannel::Handler EchoHandler() {
   };
 }
 
+// Answers every sub-op with a default (failed) response.
+RpcBatchResponse EmptyBatch(const RpcBatchRequest& batch) {
+  RpcBatchResponse out;
+  out.responses.resize(batch.ops.size());
+  return out;
+}
+
 TEST(RpcCryptoTest, EncryptedCallRoundTrips) {
   RpcChannel channel;
-  channel.Bind(EchoHandler());
+  channel.Bind(EchoHandler(), EmptyBatch);
   channel.EnableEncryption(0x5ec23e7);
   EXPECT_TRUE(channel.encrypted());
   RpcRequest request;
@@ -31,9 +38,9 @@ TEST(RpcCryptoTest, EncryptedCallRoundTrips) {
 
 TEST(RpcCryptoTest, CiphertextDiffersFromPlaintextLength) {
   RpcChannel plain;
-  plain.Bind(EchoHandler());
+  plain.Bind(EchoHandler(), EmptyBatch);
   RpcChannel encrypted;
-  encrypted.Bind(EchoHandler());
+  encrypted.Bind(EchoHandler(), EmptyBatch);
   encrypted.EnableEncryption(42);
   RpcRequest request;
   request.method = "kill";
@@ -47,12 +54,14 @@ TEST(RpcCryptoTest, CiphertextDiffersFromPlaintextLength) {
 TEST(RpcCryptoTest, TamperedFrameRejected) {
   RpcChannel channel;
   bool handler_ran = false;
-  channel.Bind([&handler_ran](const RpcRequest&) {
-    handler_ran = true;
-    RpcResponse resp;
-    resp.ok = true;
-    return resp;
-  });
+  channel.Bind(
+      [&handler_ran](const RpcRequest&) {
+        handler_ran = true;
+        RpcResponse resp;
+        resp.ok = true;
+        return resp;
+      },
+      EmptyBatch);
   channel.EnableEncryption(99);
   channel.CorruptNextFrameForTest();
   RpcRequest request;
@@ -68,7 +77,7 @@ TEST(RpcCryptoTest, UnencryptedCorruptionBreaksFraming) {
   // Without encryption, a flipped byte may corrupt fields silently or break
   // framing — the MAC is what turns tampering into a hard failure.
   RpcChannel channel;
-  channel.Bind(EchoHandler());
+  channel.Bind(EchoHandler(), EmptyBatch);
   channel.CorruptNextFrameForTest();
   RpcRequest request;
   request.method = "ps";
@@ -83,11 +92,9 @@ TEST(RpcCryptoTest, CorruptedBatchFrameFailsAtomically) {
   // sub-response vector.
   RpcChannel channel;
   size_t handled_ops = 0;
-  channel.BindBatch([&handled_ops](const RpcBatchRequest& batch) {
+  channel.Bind(EchoHandler(), [&handled_ops](const RpcBatchRequest& batch) {
     handled_ops += batch.ops.size();
-    RpcBatchResponse out;
-    out.responses.resize(batch.ops.size());
-    return out;
+    return EmptyBatch(batch);
   });
   channel.EnableEncryption(99);
   channel.CorruptNextFrameForTest();
@@ -114,7 +121,7 @@ TEST(RpcCryptoTest, CorruptedBatchResponseLegAlsoFailsWhole) {
   // — the whole batch reports one transport error.
   RpcChannel channel;
   size_t handled_ops = 0;
-  channel.BindBatch([&handled_ops](const RpcBatchRequest& batch) {
+  channel.Bind(EchoHandler(), [&handled_ops](const RpcBatchRequest& batch) {
     handled_ops += batch.ops.size();
     RpcBatchResponse out;
     out.responses.resize(batch.ops.size());
@@ -140,18 +147,10 @@ TEST(RpcCryptoTest, OneSealPerBatchAmortizesCrypto) {
   // N ops in a batch pay ONE nonce+MAC per direction; N singleton calls pay
   // N of each. 16 bytes overhead per frame, 2 frames per call.
   RpcChannel batched;
-  batched.BindBatch([](const RpcBatchRequest& batch) {
-    RpcBatchResponse out;
-    out.responses.resize(batch.ops.size());
-    return out;
-  });
+  batched.Bind(EchoHandler(), EmptyBatch);
   batched.EnableEncryption(1);
   RpcChannel plain_batched;
-  plain_batched.BindBatch([](const RpcBatchRequest& batch) {
-    RpcBatchResponse out;
-    out.responses.resize(batch.ops.size());
-    return out;
-  });
+  plain_batched.Bind(EchoHandler(), EmptyBatch);
   RpcBatchRequest batch;
   batch.uid = witos::kRootUid;
   batch.ops = {{"ps", {}}, {"kill", {"7"}}, {"read_file", {"/etc/motd"}}, {"reboot", {}}};
@@ -165,12 +164,14 @@ TEST(RpcCryptoTest, OneSealPerBatchAmortizesCrypto) {
 TEST(RpcCryptoTest, FramesUseFreshNonces) {
   RpcChannel channel;
   std::vector<std::string> seen_methods;
-  channel.Bind([&seen_methods](const RpcRequest& request) {
-    seen_methods.push_back(request.method);
-    RpcResponse resp;
-    resp.ok = true;
-    return resp;
-  });
+  channel.Bind(
+      [&seen_methods](const RpcRequest& request) {
+        seen_methods.push_back(request.method);
+        RpcResponse resp;
+        resp.ok = true;
+        return resp;
+      },
+      EmptyBatch);
   channel.EnableEncryption(7);
   RpcRequest request;
   request.method = "ps";

@@ -3,12 +3,14 @@
 // PID namespace, the host root's /ConFS-* mountpoints, the NET namespace
 // payloads and the active-session count are exactly what they were after
 // the first, and the broker's `ps` lists the same number of processes.
+// Kill-process ops leave no runaway victim behind under host init.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "src/core/cluster.h"
 #include "src/core/session.h"
@@ -91,6 +93,61 @@ TEST_F(TeardownSteadyStateTest, ThreeHundredCyclesLeaveNothingBehind) {
     last = Cycle(n);
   }
   EXPECT_EQ(first, last);
+}
+
+// Kill-process ops spawn a `runaway` victim under host init. Whatever the
+// op's outcome (killed in view, killed through `PB kill`, or denied), the
+// session ends and reaps the victim, so neither the host process table nor
+// init's child list grows per op.
+TEST_F(TeardownSteadyStateTest, KillProcessVictimsAreReaped) {
+  // T-1 gains the kill verb so its isolated view escalates and is granted;
+  // T-5 shares the host PID namespace and kills in view; T-2 is denied.
+  witbroker::ClassPolicy t1;
+  t1.allowed_verbs = {witbroker::kVerbPs, witbroker::kVerbNetAllow, witbroker::kVerbKill};
+  machine_->policy().SetPolicy("T-1", t1);
+  witload::RequiredOp kill;
+  kill.kind = witload::OpKind::kKillProcess;
+  kill.service = "runaway";
+
+  witos::Kernel& kernel = machine_->kernel();
+  struct HostState {
+    size_t processes = 0;
+    std::vector<witos::Pid> init_children;
+  };
+  auto cycle = [&](int n) {
+    for (const char* cls : {"T-5", "T-1", "T-2"}) {
+      Ticket ticket;
+      ticket.id = "TKT-KILL-" + std::to_string(n) + "-" + cls;
+      ticket.target_machine = "userpc";
+      ticket.assigned_class = cls;
+      ticket.admin = "alice";
+      auto deployment = manager_.Deploy(ticket);
+      EXPECT_TRUE(deployment.ok());
+      {
+        AdminSession session(machine_, deployment->session, deployment->certificate,
+                             &cluster_.ca());
+        EXPECT_TRUE(session.Login().ok());
+        std::vector<OpReplayResult> batched = session.ReplayTicket({kill, kill});
+        EXPECT_EQ(batched.size(), 2u);
+        OpReplayResult single = session.Replay(kill);
+        bool killed = single.in_view || single.broker_ok;
+        EXPECT_EQ(killed, std::string(cls) != "T-2") << cls;
+      }
+      EXPECT_TRUE(manager_.Expire(&*deployment).ok());
+    }
+    HostState state;
+    state.processes = kernel.process_count();
+    state.init_children = kernel.FindProcess(kernel.init_pid())->children;
+    return state;
+  };
+
+  HostState first = cycle(1);
+  HostState last;
+  for (int n = 2; n <= 100; ++n) {
+    last = cycle(n);
+  }
+  EXPECT_EQ(first.processes, last.processes);
+  EXPECT_EQ(first.init_children, last.init_children);
 }
 
 }  // namespace

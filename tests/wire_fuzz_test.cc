@@ -373,8 +373,8 @@ TEST(WireHardeningTest, TruncatedBatchSubRequestCountIsRejected) {
 }
 
 TEST(WireHardeningTest, VersionSkewIsRejectedNotMisparsed) {
-  // Magic says "this is a WIT2 frame", version says 3: neither the v2 parser
-  // nor the headerless-v1 fallback may touch it.
+  // Magic says "this is a WIT2 frame", version says 3: the parser must
+  // reject it rather than guess at the layout.
   RpcBatchRequest batch;
   batch.ops = {{"ps", {}}};
   std::string frame = batch.Serialize();
@@ -403,25 +403,31 @@ TEST(WireHardeningTest, FrameKindConfusionIsRejected) {
   EXPECT_FALSE(RpcBatchRequest::Deserialize(responses.Serialize()).ok());
 }
 
-TEST(WireFuzzTest, V1AndV2FramesCoexistOnOneStream) {
-  // A peer may speak headerless v1 and headered v2 interleaved; each frame
-  // is self-describing via the magic, so both must decode, including a
-  // hostile v1 frame whose body *starts* with bytes resembling the magic.
+TEST(WireFuzzTest, HeaderlessFramesAreRejectedOnOneStream) {
+  // Frames are self-describing via the magic: on one stream, every
+  // headerless request or response body (the retired v1 layout) is EINVAL
+  // while the headered frames interleaved with them still decode.
   std::mt19937 rng(0x5EED0007);
   for (int i = 0; i < 500; ++i) {
-    // v1 request frame: body only, no header.
-    WireWriter v1;
-    v1.PutString("ps");
-    v1.PutStringList({"-a"});
-    v1.PutU32(static_cast<uint32_t>(rng() % 1000));
-    v1.PutU32(static_cast<uint32_t>(rng() % 1000));
-    v1.PutString("T-7");
-    v1.PutString("alice@corp");
-    auto v1_decoded = RpcRequest::Deserialize(v1.data());
-    ASSERT_TRUE(v1_decoded.ok()) << "iteration " << i;
-    EXPECT_EQ(v1_decoded->method, "ps");
+    WireWriter headerless;
+    headerless.PutString("ps");
+    headerless.PutStringList({"-a"});
+    headerless.PutU32(static_cast<uint32_t>(rng() % 1000));
+    headerless.PutU32(static_cast<uint32_t>(rng() % 1000));
+    headerless.PutString("T-7");
+    headerless.PutString("alice@corp");
+    auto req = RpcRequest::Deserialize(headerless.data());
+    ASSERT_FALSE(req.ok()) << "iteration " << i;
+    EXPECT_EQ(req.error(), witos::Err::kInval) << "iteration " << i;
 
-    // v2 request frame through the same entry point.
+    WireWriter headerless_resp;
+    headerless_resp.PutBool(rng() % 2 == 0);
+    headerless_resp.PutString(rng() % 2 == 0 ? "" : "EPERM");
+    headerless_resp.PutString("payload");
+    auto resp = RpcResponse::Deserialize(headerless_resp.data());
+    ASSERT_FALSE(resp.ok()) << "iteration " << i;
+    EXPECT_EQ(resp.error(), witos::Err::kInval) << "iteration " << i;
+
     RpcRequest v2;
     v2.method = "read_file";
     v2.args = {"/etc/passwd"};
@@ -431,10 +437,11 @@ TEST(WireFuzzTest, V1AndV2FramesCoexistOnOneStream) {
     ASSERT_TRUE(v2_decoded.ok()) << "iteration " << i;
     EXPECT_TRUE(RequestsEqual(v2, *v2_decoded)) << "iteration " << i;
   }
-  // The magic-collision case: a v1 frame would need a ~840 MB method to
-  // alias the magic, which the length cap rejects — so a frame that *does*
-  // lead with the magic but carries v1 field order is rejected, not
-  // misattributed.
+}
+
+TEST(WireFuzzTest, MagicCollisionIsRejected) {
+  // A frame that leads with the magic and version but carries no kind or
+  // body is rejected, not misattributed.
   WireWriter hostile;
   hostile.PutU32(kRpcMagic);
   hostile.PutU32(kRpcVersion);
