@@ -67,8 +67,8 @@ void BM_ItfsLogAll(benchmark::State& state) {
   for (auto _ : state) {
     fig9::BenchEnv env = fig9::MakeEnv(fig9::FsConfig::kItfsExtension);
     witcontain::Session* session = env.containit->FindSession(1);
-    witfs::ItfsPolicy builder = session->spec.fs.policy;
-    builder.set_inspection_mode(session->spec.fs.inspection);
+    witfs::ItfsPolicy builder = session->spec().fs.policy;
+    builder.set_inspection_mode(session->spec().fs.inspection);
     builder.set_log_all(log_all);
     session->itfs->SwapPolicy(builder.Compile());
     sim = fig9::RunGrepSmall(&env);
@@ -87,8 +87,8 @@ void BM_SignatureScanLimit(benchmark::State& state) {
   for (auto _ : state) {
     fig9::BenchEnv env = fig9::MakeEnv(fig9::FsConfig::kItfsSignature);
     witcontain::Session* session = env.containit->FindSession(1);
-    witfs::ItfsPolicy builder = session->spec.fs.policy;
-    builder.set_inspection_mode(session->spec.fs.inspection);
+    witfs::ItfsPolicy builder = session->spec().fs.policy;
+    builder.set_inspection_mode(session->spec().fs.inspection);
     builder.set_content_scan_limit(limit);
     // A custom detector forces the gate to honor the full scan window: a
     // pure signature policy compiles down to a 64-byte read regardless of

@@ -27,6 +27,29 @@ const std::string& EndpointOf(const RpcRequest& request) {
   return kNone;
 }
 
+// The verbs Dispatch serves itself; custom verbs join via RegisterVerb.
+constexpr const char* kBuiltinVerbs[] = {kVerbPs,      kVerbKill,           kVerbReadFile,
+                                         kVerbInstall, kVerbRestartService, kVerbReboot,
+                                         kVerbDriverUpdate};
+
+constexpr const char* kShadowOutcomes[] = {"agree", "would_block", "would_allow"};
+
+// Serve's per-op scratch: a lone request keeps its entry inline, a batch
+// gets one vector.
+template <typename T>
+struct OpScratch {
+  T one{};
+  std::vector<T> more;
+
+  std::span<T> Of(size_t n) {
+    if (n == 1) {
+      return {&one, 1};
+    }
+    more.resize(n);
+    return more;
+  }
+};
+
 }  // namespace
 
 PermissionBroker::PermissionBroker(witos::Kernel* kernel, witos::Pid host_pid,
@@ -53,11 +76,11 @@ witos::Status PermissionBroker::BindTicket(const std::string& ticket_id,
                                            const std::string& ticket_class) {
   TicketShard& shard = TicketShardOf(ticket_id);
   std::lock_guard<witobs::ProfiledMutex> lock(shard.mu);
-  auto [it, inserted] = shard.classes.emplace(ticket_id, ticket_class);
-  (void)it;
+  auto [it, inserted] = shard.tickets.try_emplace(ticket_id);
   if (!inserted) {
     return witos::Err::kExist;
   }
+  it->second = std::make_shared<TicketState>(ticket_class);
   if (binding_listener_) {
     binding_listener_(ticket_id, ticket_class, /*bound=*/true);
   }
@@ -67,12 +90,13 @@ witos::Status PermissionBroker::BindTicket(const std::string& ticket_id,
 witos::Status PermissionBroker::UnbindTicket(const std::string& ticket_id) {
   TicketShard& shard = TicketShardOf(ticket_id);
   std::lock_guard<witobs::ProfiledMutex> lock(shard.mu);
-  auto it = shard.classes.find(ticket_id);
-  if (it == shard.classes.end()) {
+  auto it = shard.tickets.find(ticket_id);
+  if (it == shard.tickets.end()) {
     return witos::Err::kSrch;
   }
-  std::string ticket_class = std::move(it->second);
-  shard.classes.erase(it);
+  std::shared_ptr<TicketState> state = std::move(it->second);
+  shard.tickets.erase(it);
+  const std::string& ticket_class = state->ticket_class;
   if (binding_listener_) {
     binding_listener_(ticket_id, ticket_class, /*bound=*/false);
   }
@@ -82,14 +106,23 @@ witos::Status PermissionBroker::UnbindTicket(const std::string& ticket_id) {
 bool PermissionBroker::IsTicketBound(const std::string& ticket_id) const {
   TicketShard& shard = TicketShardOf(ticket_id);
   std::lock_guard<witobs::ProfiledMutex> lock(shard.mu);
-  return shard.classes.count(ticket_id) > 0;
+  return shard.tickets.count(ticket_id) > 0;
+}
+
+TicketRequestCounts PermissionBroker::TicketRequests(const std::string& ticket_id) const {
+  std::shared_ptr<TicketState> state = FindTicket(ticket_id);
+  if (state == nullptr) {
+    return {};
+  }
+  return {state->granted.load(std::memory_order_relaxed),
+          state->denied.load(std::memory_order_relaxed)};
 }
 
 size_t PermissionBroker::bound_ticket_count() const {
   size_t total = 0;
   for (const auto& shard : ticket_shards_) {
     std::lock_guard<witobs::ProfiledMutex> lock(shard->mu);
-    total += shard->classes.size();
+    total += shard->tickets.size();
   }
   return total;
 }
@@ -98,13 +131,48 @@ std::vector<std::pair<std::string, std::string>> PermissionBroker::BoundTicketsS
   std::vector<std::pair<std::string, std::string>> bindings;
   for (const auto& shard : ticket_shards_) {
     std::lock_guard<witobs::ProfiledMutex> lock(shard->mu);
-    bindings.insert(bindings.end(), shard->classes.begin(), shard->classes.end());
+    for (const auto& [ticket_id, state] : shard->tickets) {
+      bindings.emplace_back(ticket_id, state->ticket_class);
+    }
   }
   return bindings;
 }
 
 void PermissionBroker::RegisterVerb(const std::string& verb, VerbHandler handler) {
   custom_verbs_[verb] = std::move(handler);
+  if (metrics_ != nullptr) {
+    ResolveVerbCounters(verb);
+  }
+}
+
+void PermissionBroker::ResolveVerbCounters(const std::string& verb) {
+  VerbCounters& counters = verb_counters_[verb];
+  counters.requests[0] =
+      metrics_->GetCounter("watchit_broker_requests_total", {{"verb", verb}, {"outcome", "grant"}});
+  counters.requests[1] =
+      metrics_->GetCounter("watchit_broker_requests_total", {{"verb", verb}, {"outcome", "deny"}});
+  for (size_t i = 0; i < 3; ++i) {
+    counters.shadow[i] = metrics_->GetCounter("watchit_broker_shadow_total",
+                                              {{"verb", verb}, {"outcome", kShadowOutcomes[i]}});
+  }
+}
+
+witobs::Counter* PermissionBroker::RequestCounter(const std::string& verb, bool granted) const {
+  auto it = verb_counters_.find(verb);
+  if (it != verb_counters_.end()) {
+    return it->second.requests[granted ? 0 : 1];
+  }
+  return metrics_->GetCounter("watchit_broker_requests_total",
+                              {{"verb", verb}, {"outcome", granted ? "grant" : "deny"}});
+}
+
+witobs::Counter* PermissionBroker::ShadowCounter(const std::string& verb, size_t outcome) const {
+  auto it = verb_counters_.find(verb);
+  if (it != verb_counters_.end()) {
+    return it->second.shadow[outcome];
+  }
+  return metrics_->GetCounter("watchit_broker_shadow_total",
+                              {{"verb", verb}, {"outcome", kShadowOutcomes[outcome]}});
 }
 
 void PermissionBroker::EnableMetrics(witobs::MetricsRegistry* registry,
@@ -116,8 +184,6 @@ void PermissionBroker::EnableMetrics(witobs::MetricsRegistry* registry,
   }
   registry->SetHelp("watchit_broker_requests_total",
                     "Permission broker requests by verb and grant outcome");
-  registry->SetHelp("watchit_broker_ticket_requests_total",
-                    "Permission broker requests per ticket by grant outcome");
   registry->SetHelp("watchit_broker_dispatch_latency_ns",
                     "Simulated latency of granted broker verb dispatch");
   registry->SetHelp("watchit_broker_events_dropped_total",
@@ -126,6 +192,12 @@ void PermissionBroker::EnableMetrics(witobs::MetricsRegistry* registry,
                     "Shadow verb-policy evaluations by verb and outcome vs the enforcing policy");
   events_dropped_ = registry->GetCounter("watchit_broker_events_dropped_total");
   dispatch_latency_ = registry->GetHistogram("watchit_broker_dispatch_latency_ns");
+  for (const char* verb : kBuiltinVerbs) {
+    ResolveVerbCounters(verb);
+  }
+  for (const auto& [verb, handler] : custom_verbs_) {
+    ResolveVerbCounters(verb);
+  }
   for (const auto& shard : event_shards_) {
     shard->mu.EnableMetrics(registry);
   }
@@ -146,10 +218,11 @@ void PermissionBroker::PushEventLocked(EventShard* shard, BrokerEvent event) {
   shard->events.push_back(std::move(event));
 }
 
-void PermissionBroker::RecordEvents(std::vector<BrokerEvent> events) {
-  // One ticket's ops, so the whole vector lands on one shard under one lock
+void PermissionBroker::RecordEvents(const std::string& ticket_id,
+                                    std::span<BrokerEvent> events) {
+  // One ticket's ops, so they all land on one shard under one lock
   // acquisition.
-  EventShard& shard = EventShardOf(events.front().ticket_id);
+  EventShard& shard = EventShardOf(ticket_id);
   std::lock_guard<witobs::ProfiledMutex> lock(shard.mu);
   for (BrokerEvent& event : events) {
     PushEventLocked(&shard, std::move(event));
@@ -222,11 +295,12 @@ RpcResponse PermissionBroker::Fail(witos::Err err) const {
   return resp;
 }
 
-std::string PermissionBroker::TicketClassOf(const std::string& ticket_id) const {
+std::shared_ptr<PermissionBroker::TicketState> PermissionBroker::FindTicket(
+    const std::string& ticket_id) const {
   TicketShard& shard = TicketShardOf(ticket_id);
   std::lock_guard<witobs::ProfiledMutex> lock(shard.mu);
-  auto class_it = shard.classes.find(ticket_id);
-  return class_it == shard.classes.end() ? "" : class_it->second;
+  auto it = shard.tickets.find(ticket_id);
+  return it == shard.tickets.end() ? nullptr : it->second;
 }
 
 BrokerEvent PermissionBroker::MakeEvent(const RpcRequest& request,
@@ -243,19 +317,14 @@ BrokerEvent PermissionBroker::MakeEvent(const RpcRequest& request,
   return event;
 }
 
-void PermissionBroker::CountRequest(const RpcRequest& request, bool allowed) {
-  if (metrics_ == nullptr) {
-    return;
+void PermissionBroker::CountRequest(const RpcRequest& request, TicketState* ticket,
+                                    bool allowed) {
+  if (ticket != nullptr) {
+    (allowed ? ticket->granted : ticket->denied).fetch_add(1, std::memory_order_relaxed);
   }
-  const char* outcome = allowed ? "grant" : "deny";
-  metrics_
-      ->GetCounter("watchit_broker_requests_total",
-                   {{"verb", request.method}, {"outcome", outcome}})
-      ->Increment();
-  metrics_
-      ->GetCounter("watchit_broker_ticket_requests_total",
-                   {{"ticket", request.ticket_id}, {"outcome", outcome}})
-      ->Increment();
+  if (metrics_ != nullptr) {
+    RequestCounter(request.method, allowed)->Increment();
+  }
 }
 
 void PermissionBroker::ShadowCheck(const RpcRequest& request, const std::string& ticket_class,
@@ -266,22 +335,18 @@ void PermissionBroker::ShadowCheck(const RpcRequest& request, const std::string&
     return;
   }
   shadow_evaluated_.fetch_add(1, std::memory_order_relaxed);
-  const char* outcome;
+  size_t outcome = 0;  // indexes kShadowOutcomes
   if (*mirror == policy_allowed) {
     shadow_agree_.fetch_add(1, std::memory_order_relaxed);
-    outcome = "agree";
   } else if (!*mirror) {
     shadow_would_block_.fetch_add(1, std::memory_order_relaxed);
-    outcome = "would_block";
+    outcome = 1;
   } else {
     shadow_would_allow_.fetch_add(1, std::memory_order_relaxed);
-    outcome = "would_allow";
+    outcome = 2;
   }
   if (metrics_ != nullptr) {
-    metrics_
-        ->GetCounter("watchit_broker_shadow_total",
-                     {{"verb", request.method}, {"outcome", outcome}})
-        ->Increment();
+    ShadowCounter(request.method, outcome)->Increment();
   }
 }
 
@@ -338,13 +403,16 @@ void PermissionBroker::Serve(std::span<const RpcRequest> requests,
   // in its header), so the class lookup, the event shard and the log chain
   // are all the ticket's own.
   const std::string& ticket_id = requests.front().ticket_id;
-  std::string ticket_class = TicketClassOf(ticket_id);
+  static const std::string kUnbound;
+  std::shared_ptr<TicketState> ticket = FindTicket(ticket_id);
+  const std::string& ticket_class = ticket != nullptr ? ticket->ticket_class : kUnbound;
 
-  std::vector<bool> allowed(requests.size(), false);
-  std::vector<BrokerEvent> events;
-  std::vector<std::string> log_lines;
-  events.reserve(requests.size());
-  log_lines.reserve(requests.size());
+  OpScratch<char> allowed_scratch;
+  OpScratch<BrokerEvent> event_scratch;
+  OpScratch<std::string> line_scratch;
+  std::span<char> allowed = allowed_scratch.Of(requests.size());
+  std::span<BrokerEvent> events = event_scratch.Of(requests.size());
+  std::span<std::string> log_lines = line_scratch.Of(requests.size());
   bool any_allowed = false;
 
   // Per-op accountability first (Table 1: every request, granted or denied,
@@ -357,20 +425,20 @@ void PermissionBroker::Serve(std::span<const RpcRequest> requests,
     allowed[i] = granted;
     any_allowed |= granted;
     ShadowCheck(request, ticket_class, policy_allowed);
-    events.push_back(MakeEvent(request, ticket_class, now, granted));
-    CountRequest(request, granted);
+    events[i] = MakeEvent(request, ticket_class, now, granted);
+    CountRequest(request, ticket.get(), granted);
     // "Either way, these requests are logged in real-time to a secure
     // append-only storage device."
-    log_lines.push_back(LogLine(request, ticket_class, granted));
+    log_lines[i] = LogLine(request, ticket_class, granted);
     kernel_->audit().Append(
         granted ? witos::AuditEvent::kBrokerRequest : witos::AuditEvent::kBrokerDenied,
-        request.caller_pid, request.uid, log_lines.back(), now);
+        request.caller_pid, request.uid, log_lines[i], now);
   }
   // ...but the shared structures are entered once: one lock acquisition
   // appends every event and one SecureLog critical section chains every
   // per-op entry, both on the ticket's own shard in per-op order.
-  RecordEvents(std::move(events));
-  log_.AppendBatch(std::move(log_lines), now, TicketShardKey(ticket_id));
+  RecordEvents(ticket_id, events);
+  log_.AppendBatch(log_lines, now, TicketShardKey(ticket_id));
 
   // Dispatch the granted ops; denied ones answer EPERM positionally.
   auto kernel_lock = LockKernel();

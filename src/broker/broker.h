@@ -40,6 +40,12 @@ struct BrokerEvent {
   bool granted = false;
 };
 
+// Requests the broker served for one bound ticket, by outcome.
+struct TicketRequestCounts {
+  uint64_t granted = 0;
+  uint64_t denied = 0;
+};
+
 class PermissionBroker {
  public:
   // Hot-state partitioning (DESIGN.md §14). With shards > 1 the event
@@ -91,6 +97,10 @@ class PermissionBroker {
   // path); ESRCH when the ticket is not bound.
   witos::Status UnbindTicket(const std::string& ticket_id);
   bool IsTicketBound(const std::string& ticket_id) const;
+  // Grant/deny counts of the requests served for `ticket_id` while it has
+  // been bound; zero for an unbound ticket. Exact regardless of the event
+  // window's retention cap.
+  TicketRequestCounts TicketRequests(const std::string& ticket_id) const;
   // Live bindings right now; the deploy fault sweeps assert this returns to
   // zero once every ticket has expired or rolled back.
   size_t bound_ticket_count() const;
@@ -109,7 +119,8 @@ class PermissionBroker {
 
   // Extension point: ContainIT registers "mount_volume"; the cluster layer
   // registers "net_allow". The handler runs with the broker's host
-  // privileges after the policy check passed.
+  // privileges after the policy check passed. Register verbs before
+  // traffic starts.
   using VerbHandler = std::function<RpcResponse(const RpcRequest&)>;
   void RegisterVerb(const std::string& verb, VerbHandler handler);
 
@@ -124,10 +135,10 @@ class PermissionBroker {
   RpcResponse Handle(const RpcRequest& request);
   RpcBatchResponse HandleBatch(const RpcBatchRequest& batch);
 
-  // Wires the broker into the observability layer: request counters by verb
-  // and outcome, per-ticket counters, and a dispatch-latency histogram in
-  // simulated nanoseconds. Spans tagged with the ticket id are emitted when
-  // `tracer` is non-null.
+  // Wires the broker into the observability layer: request and shadow
+  // counters by verb and outcome (resolved here for every known verb), and
+  // a dispatch-latency histogram in simulated nanoseconds. Spans tagged
+  // with the ticket id are emitted when `tracer` is non-null.
   void EnableMetrics(witobs::MetricsRegistry* registry, witobs::Tracer* tracer = nullptr);
 
   // Retention cap for the structured event window, applied per shard
@@ -167,12 +178,25 @@ class PermissionBroker {
     size_t capacity = 0;  // per-shard window, 0 = unbounded
     uint64_t dropped = 0;
   };
-  // One shard of the ticket-class map ("broker.tickets[.N]"): deploy
+  // One bound ticket: its class and the outcome counts of its requests.
+  // Request paths hold it by shared_ptr, so an unbind mid-request is safe.
+  struct TicketState {
+    explicit TicketState(std::string cls) : ticket_class(std::move(cls)) {}
+    const std::string ticket_class;
+    std::atomic<uint64_t> granted{0};
+    std::atomic<uint64_t> denied{0};
+  };
+  // One shard of the bound-ticket map ("broker.tickets[.N]"): deploy
   // workers bind/unbind while request paths resolve.
   struct TicketShard {
     explicit TicketShard(std::string name) : mu(std::move(name)) {}
     mutable witobs::ProfiledMutex mu;
-    std::map<std::string, std::string> classes;
+    std::map<std::string, std::shared_ptr<TicketState>> tickets;
+  };
+  // A verb's counter handles, [0] = grant / agree.
+  struct VerbCounters {
+    witobs::Counter* requests[2] = {};  // grant, deny
+    witobs::Counter* shadow[3] = {};    // agree, would_block, would_allow
   };
 
   // Ticket-affinity hash: one ticket's events, class binding and secure-log
@@ -198,10 +222,15 @@ class PermissionBroker {
   RpcResponse Fail(witos::Err err) const;
 
   // Per-op accountability pieces used by Serve.
-  std::string TicketClassOf(const std::string& ticket_id) const;
+  std::shared_ptr<TicketState> FindTicket(const std::string& ticket_id) const;
   BrokerEvent MakeEvent(const RpcRequest& request, const std::string& ticket_class,
                         uint64_t now, bool allowed);
-  void CountRequest(const RpcRequest& request, bool allowed);
+  // A known verb's handles come from verb_counters_; any other verb (one
+  // with no handler) is resolved by name, as the series is then new.
+  void ResolveVerbCounters(const std::string& verb);
+  witobs::Counter* RequestCounter(const std::string& verb, bool granted) const;
+  witobs::Counter* ShadowCounter(const std::string& verb, size_t outcome) const;
+  void CountRequest(const RpcRequest& request, TicketState* ticket, bool allowed);
   // Consults the shadow policy (if one covers the class) and accounts the
   // divergence from the enforcing verdict; never changes the outcome.
   void ShadowCheck(const RpcRequest& request, const std::string& ticket_class,
@@ -217,7 +246,7 @@ class PermissionBroker {
   RpcResponse HandleReboot(const RpcRequest& request);
   RpcResponse HandleDriverUpdate(const RpcRequest& request);
 
-  void RecordEvents(std::vector<BrokerEvent> events);
+  void RecordEvents(const std::string& ticket_id, std::span<BrokerEvent> events);
   // Holds Options::kernel_mu when one was given; otherwise owns nothing.
   std::unique_lock<std::mutex> LockKernel() const;
 
@@ -244,6 +273,9 @@ class PermissionBroker {
   witobs::Tracer* tracer_ = nullptr;
   witobs::Counter* events_dropped_ = nullptr;
   witobs::Histogram* dispatch_latency_ = nullptr;
+  // Every known verb's handles, filled by EnableMetrics and RegisterVerb
+  // before traffic; read without a lock on the request path.
+  std::map<std::string, VerbCounters, std::less<>> verb_counters_;
 };
 
 // The in-container client stub. Only privileged users may talk to the

@@ -106,7 +106,7 @@ void SecureLog::Append(std::string payload, uint64_t time_ns) {
   Append(std::move(payload), time_ns, key);
 }
 
-void SecureLog::AppendBatch(std::vector<std::string> payloads, uint64_t time_ns,
+void SecureLog::AppendBatch(std::span<std::string> payloads, uint64_t time_ns,
                             uint64_t shard_key) {
   if (payloads.empty()) {
     return;

@@ -36,6 +36,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -92,8 +93,9 @@ class SecureLog {
   // acquisition on the shard chosen by `shard_key`. The broker logs every
   // request through this, so a ticket's N per-op records cost one
   // critical-section entry while staying N distinct, chain-linked entries
-  // (the audit trail is per-op regardless of framing).
-  void AppendBatch(std::vector<std::string> payloads, uint64_t time_ns, uint64_t shard_key);
+  // (the audit trail is per-op regardless of framing). The payloads are
+  // moved out of `payloads`.
+  void AppendBatch(std::span<std::string> payloads, uint64_t time_ns, uint64_t shard_key);
 
   // True if every shard chain is intact AND every sealed epoch root still
   // matches the chains (see VerifyEpochRoots).

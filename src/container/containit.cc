@@ -72,33 +72,31 @@ void ContainIt::AttachBroker(witbroker::PermissionBroker* broker) {
 
 std::shared_ptr<witfs::Itfs> ContainIt::MakeItfs(Session* session,
                                                  std::shared_ptr<witos::Filesystem> lower) {
-  std::shared_ptr<const witfs::CompiledPolicy> policy =
-      session->spec.fs.CompileEffectivePolicy();
   // ITFS runs with the privileges of the host user who mounts it: root for
   // admin containers, an unprivileged service uid in rootless mode.
   witos::Credentials invoker;
-  if (!session->spec.map_root_to_host_root) {
+  if (!session->spec().map_root_to_host_root) {
     invoker.uid = kRootlessHostUid;
     invoker.gid = kRootlessHostUid;
     invoker.caps = witos::CapabilitySet::Empty();
   }
-  auto itfs = std::make_shared<witfs::Itfs>(std::move(lower), std::move(policy), invoker,
+  auto itfs = std::make_shared<witfs::Itfs>(std::move(lower), session->image->policy, invoker,
                                             &kernel_->clock(), &kernel_->audit());
   itfs->oplog().set_capacity(oplog_capacity_);
-  itfs->EnableMetrics(metrics_, session->ticket_id, tracer_);
-  if (session->spec.fs.shadow != nullptr) {
-    itfs->SetShadowPolicy(session->spec.fs.shadow);
+  itfs->AttachMetrics(itfs_metrics_, session->ticket_id, tracer_);
+  if (session->spec().fs.shadow != nullptr) {
+    itfs->SetShadowPolicy(session->spec().fs.shadow);
   }
   return itfs;
 }
 
 void ContainIt::EnableMetrics(witobs::MetricsRegistry* registry, witobs::Tracer* tracer) {
-  metrics_ = registry;
+  itfs_metrics_ = witfs::ItfsMetrics::Resolve(registry);
   tracer_ = tracer;
 }
 
 witos::Status ContainIt::SetupFilesystemView(Session* session) {
-  const PerforatedContainerSpec& spec = session->spec;
+  const PerforatedContainerSpec& spec = session->spec();
   witos::Pid worker = session->host_worker;
 
   std::string confs_path = "/ConFS-" + std::to_string(session->id);
@@ -174,7 +172,7 @@ witos::Status ContainIt::SetupNetworkView(Session* session) {
   if (net_ == nullptr) {
     return witos::Status::Ok();
   }
-  const PerforatedContainerSpec& spec = session->spec;
+  const PerforatedContainerSpec& spec = session->spec();
   const witos::Process* proc = kernel_->FindProcess(session->container_init);
   witos::NsId net_ns = proc->ns.Get(witos::NsType::kNet);
 
@@ -233,10 +231,21 @@ witos::Status ContainIt::SetupNetworkView(Session* session) {
 witos::Result<SessionId> ContainIt::Deploy(const PerforatedContainerSpec& spec,
                                            const std::string& ticket_id,
                                            const std::string& admin) {
+  std::shared_ptr<const ContainerImage> image = ContainerImage::Publish(spec);
+  if (itfs_metrics_ != nullptr) {
+    itfs_metrics_->compile_ns->Observe(image->policy->compile_ns());
+  }
+  return Deploy(std::move(image), ticket_id, admin);
+}
+
+witos::Result<SessionId> ContainIt::Deploy(std::shared_ptr<const ContainerImage> image,
+                                           const std::string& ticket_id,
+                                           const std::string& admin) {
   uint64_t start_ns = kernel_->clock().now_ns();
   auto session = std::make_unique<Session>();
   session->id = next_id_++;
-  session->spec = spec;
+  session->image = std::move(image);
+  const PerforatedContainerSpec& spec = session->spec();
   session->ticket_id = ticket_id;
   session->admin = admin;
 
@@ -262,7 +271,7 @@ witos::Result<SessionId> ContainIt::Deploy(const PerforatedContainerSpec& spec,
 }
 
 witos::Status ContainIt::BuildSession(Session* session) {
-  const PerforatedContainerSpec& spec = session->spec;
+  const PerforatedContainerSpec& spec = session->spec();
 
   WITOS_ASSIGN_OR_RETURN(session->host_worker,
                          kernel_->Clone(kernel_->init_pid(), "ContainIT", 0));
@@ -374,7 +383,7 @@ void ContainIt::ReleaseSession(Session* session) {
 
   witos::NsId net_ns = witos::kNoNs;
   const witos::Process* init = kernel_->FindProcess(session->container_init);
-  if (init != nullptr && session->spec.IsolatesNs(witos::NsType::kNet)) {
+  if (init != nullptr && session->spec().IsolatesNs(witos::NsType::kNet)) {
     net_ns = init->ns.Get(witos::NsType::kNet);
   }
 
@@ -401,7 +410,7 @@ void ContainIt::ReleaseSession(Session* session) {
   collect(collect, session->container_init);
   // With its own PID namespace, every container process is a member, orphans
   // included, wherever it now sits in the tree.
-  if (init != nullptr && session->spec.IsolatesNs(witos::NsType::kPid)) {
+  if (init != nullptr && session->spec().IsolatesNs(witos::NsType::kPid)) {
     witos::NsId pid_ns = init->ns.Get(witos::NsType::kPid);
     if (kernel_->namespaces().Exists(pid_ns)) {
       for (const auto& [host_pid, local] : kernel_->namespaces().Pidns(pid_ns).host_to_local) {
@@ -457,8 +466,16 @@ witos::Status ContainIt::Terminate(SessionId id, const std::string& reason) {
   session->active = false;
   session->termination_reason = reason;
   ReleaseSession(session);
+  // Keep what the forensic report needs, then shed the heavy state: the
+  // ITFS instances (verdict cache, OpLog), the private root's files and the
+  // sniffer. The image snapshot is shared and stays.
+  session->summary = Summarize(*session);
+  session->itfs.reset();
+  session->shared_dir_itfs = {};
+  session->private_root.reset();
+  session->sniffer.reset();
   kernel_->audit().Append(witos::AuditEvent::kContainerTerminated, session->container_init,
-                          witos::kRootUid, session->spec.name + ": " + reason,
+                          witos::kRootUid, session->spec().name + ": " + reason,
                           kernel_->clock().now_ns());
   return witos::Status::Ok();
 }
@@ -487,7 +504,7 @@ witos::Status ContainIt::ShareDirectory(SessionId id, const std::string& host_di
   if (session == nullptr || !session->active) {
     return witos::Err::kSrch;
   }
-  if (!session->spec.IsolatesNs(witos::NsType::kMnt)) {
+  if (!session->spec().IsolatesNs(witos::NsType::kMnt)) {
     return witos::Err::kInval;  // shares the host table already
   }
   // Stage 1: validate the real path on the host.
@@ -521,7 +538,9 @@ witos::Status ContainIt::ShareDirectory(SessionId id, const std::string& host_di
     return status.error();
   }
   if (session->itfs == nullptr) {
-    session->itfs = itfs;  // make the new mount's log reachable
+    session->itfs = std::move(itfs);  // make the new mount's log reachable
+  } else {
+    session->shared_dir_itfs.push_back(std::move(itfs));  // its totals still count
   }
   return witos::Status::Ok();
 }
@@ -532,7 +551,7 @@ witos::Status ContainIt::AllowNetworkEndpoint(SessionId id, witnet::Ipv4Addr add
   if (session == nullptr || !session->active || net_ == nullptr) {
     return witos::Err::kSrch;
   }
-  if (!session->spec.IsolatesNs(witos::NsType::kNet)) {
+  if (!session->spec().IsolatesNs(witos::NsType::kNet)) {
     return witos::Status::Ok();  // host view already includes everything
   }
   const witos::Process* proc = kernel_->FindProcess(session->container_init);
@@ -542,8 +561,46 @@ witos::Status ContainIt::AllowNetworkEndpoint(SessionId id, witnet::Ipv4Addr add
   if (payload.sniffer != nullptr) {
     payload.sniffer->WidenWhitelist(witnet::Cidr::Host(addr));
   }
-  session->spec.net.sniffer_whitelist.push_back(witnet::Cidr::Host(addr));
   return witos::Status::Ok();
+}
+
+SessionSummary ContainIt::Summarize(const Session& session) const {
+  SessionSummary summary;
+  auto add_itfs = [&summary](const witfs::Itfs& itfs) {
+    witfs::GateTotals totals = itfs.gate_totals();
+    summary.fs_ops += totals.allowed + totals.denied;
+    summary.fs_denied += totals.denied;
+  };
+  if (session.itfs != nullptr) {
+    add_itfs(*session.itfs);
+    for (const auto& rec : session.itfs->oplog().Denied()) {
+      summary.denied_paths.push_back(witfs::ItfsOpKindName(rec.op) + " " + rec.path + " [" +
+                                     rec.rule + "]");
+    }
+  }
+  for (const auto& itfs : session.shared_dir_itfs) {
+    add_itfs(*itfs);
+  }
+  if (session.sniffer != nullptr) {
+    summary.packets_inspected = session.sniffer->packets_inspected();
+    summary.packets_blocked = session.sniffer->blocked_count();
+    for (const auto& alert : session.sniffer->alerts()) {
+      summary.sniffer_hits.push_back(
+          (alert.blocked ? std::string("BLOCK ") : std::string("ALERT ")) + alert.rule +
+          " -> " + alert.dst.ToString() + ":" + std::to_string(alert.port) + " (" +
+          std::to_string(alert.payload_bytes) + "B)");
+    }
+  }
+  if (broker_ != nullptr) {
+    witbroker::TicketRequestCounts requests = broker_->TicketRequests(session.ticket_id);
+    summary.broker_granted = requests.granted;
+    summary.broker_denied = requests.denied;
+  }
+  return summary;
+}
+
+SessionSummary ContainIt::Summary(const Session& session) const {
+  return session.active ? Summarize(session) : session.summary;
 }
 
 size_t ContainIt::active_sessions() const { return by_ticket_.size(); }

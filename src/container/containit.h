@@ -41,9 +41,26 @@ using SessionId = uint64_t;
 // The host uid contained root maps to in rootless mode.
 inline constexpr witos::Uid kRootlessHostUid = 100000;
 
+// What ForensicReporter needs of a session's ITFS, sniffer and broker
+// activity. ContainIt::Summary builds it from the live state of an active
+// session; Terminate stores it on the session and then drops that state.
+struct SessionSummary {
+  uint64_t fs_ops = 0;
+  uint64_t fs_denied = 0;
+  std::vector<std::string> denied_paths;  // "op path [rule]", retained OpLog window
+  uint64_t packets_inspected = 0;
+  uint64_t packets_blocked = 0;
+  std::vector<std::string> sniffer_hits;  // "BLOCK|ALERT rule -> addr:port (NB)"
+  uint64_t broker_granted = 0;
+  uint64_t broker_denied = 0;
+};
+
 struct Session {
   SessionId id = 0;
-  PerforatedContainerSpec spec;
+  // The image snapshot the session was built from, shared with every other
+  // session of that image.
+  std::shared_ptr<const ContainerImage> image;
+  const PerforatedContainerSpec& spec() const { return image->spec; }
   std::string ticket_id;
   std::string admin;
 
@@ -54,7 +71,9 @@ struct Session {
   witos::Pid sniffer_daemon = witos::kNoPid;  // host-side peer (watchdogged)
 
   std::string confs_path;  // vfs-space mountpoint, e.g. "/ConFS-1"
+  // The heavy per-session state; Terminate drops all of it.
   std::shared_ptr<witfs::Itfs> itfs;          // null when unmonitored
+  std::vector<std::shared_ptr<witfs::Itfs>> shared_dir_itfs;  // ShareDirectory mounts
   std::shared_ptr<witos::MemFs> private_root;  // for kPrivate / kDirs views
   std::shared_ptr<witnet::Sniffer> sniffer;    // null when unsniffed
 
@@ -63,6 +82,8 @@ struct Session {
   bool active = false;
   std::string termination_reason;
   uint64_t deploy_duration_ns = 0;
+  // Set by Terminate; see ContainIt::Summary.
+  SessionSummary summary;
 };
 
 class ContainIt {
@@ -74,6 +95,11 @@ class ContainIt {
   // file-sharing and network-widening verbs with it.
   void AttachBroker(witbroker::PermissionBroker* broker);
 
+  // Builds a session from a published image snapshot.
+  witos::Result<SessionId> Deploy(std::shared_ptr<const ContainerImage> image,
+                                  const std::string& ticket_id, const std::string& admin);
+  // Publishes `spec` as an ad-hoc image (one policy compile, observed in
+  // watchit_policy_compile_ns) and deploys it.
   witos::Result<SessionId> Deploy(const PerforatedContainerSpec& spec,
                                   const std::string& ticket_id, const std::string& admin);
 
@@ -81,7 +107,13 @@ class ContainIt {
   const Session* FindSession(SessionId id) const;
   Session* FindSessionByTicket(const std::string& ticket_id);
 
+  // Ends an active session through ReleaseSession, stores its Summary and
+  // drops its ITFS instances, private root and sniffer.
   witos::Status Terminate(SessionId id, const std::string& reason);
+
+  // The session's forensic summary: built from live state while the
+  // session is active, the copy Terminate stored once it is not.
+  SessionSummary Summary(const Session& session) const;
 
   // On-line file sharing (paper §5.5): exposes `host_dir` at
   // `container_path` inside a *running* container via nsenter + an ITFS
@@ -97,9 +129,10 @@ class ContainIt {
   size_t active_sessions() const;
   const std::map<SessionId, std::unique_ptr<Session>>& sessions() const { return sessions_; }
 
-  // Observability wiring: every ITFS instance deployed after this call is
-  // registered with `registry` under its session's ticket id, and emits
-  // spans into `tracer` when one is given.
+  // Observability wiring: resolves the ITFS metric handles in `registry`
+  // once; every ITFS instance deployed after this call shares them, and
+  // emits spans tagged with its session's ticket id into `tracer` when one
+  // is given.
   void EnableMetrics(witobs::MetricsRegistry* registry, witobs::Tracer* tracer = nullptr);
 
   // Retention cap applied to each new session's OpLog (0 = unbounded).
@@ -124,11 +157,14 @@ class ContainIt {
   void OnProcessDeath(witos::Pid pid);
   std::shared_ptr<witfs::Itfs> MakeItfs(Session* session,
                                         std::shared_ptr<witos::Filesystem> lower);
+  // Builds the summary from the session's live ITFS, sniffer and broker
+  // state; the one source of SessionSummary.
+  SessionSummary Summarize(const Session& session) const;
 
   witos::Kernel* kernel_;
   witnet::NetStack* net_;
   witbroker::PermissionBroker* broker_ = nullptr;
-  witobs::MetricsRegistry* metrics_ = nullptr;
+  std::shared_ptr<const witfs::ItfsMetrics> itfs_metrics_;
   witobs::Tracer* tracer_ = nullptr;
   size_t oplog_capacity_ = 0;
   std::map<SessionId, std::unique_ptr<Session>> sessions_;

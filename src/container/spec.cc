@@ -12,6 +12,13 @@ PerforatedContainerSpec PerforatedContainerSpec::Traditional(std::string name) {
   return spec;
 }
 
+std::shared_ptr<const ContainerImage> ContainerImage::Publish(PerforatedContainerSpec spec) {
+  auto image = std::make_shared<ContainerImage>();
+  image->policy = spec.fs.CompileEffectivePolicy();
+  image->spec = std::move(spec);
+  return image;
+}
+
 const witos::CapabilitySet& ForbiddenCaps() {
   static const witos::CapabilitySet kForbidden = {
       witos::Capability::kSysChroot, witos::Capability::kSysPtrace,

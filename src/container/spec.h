@@ -132,6 +132,19 @@ struct PerforatedContainerSpec {
   static PerforatedContainerSpec Traditional(std::string name);
 };
 
+// One published container image: the spec plus its effective ITFS policy,
+// compiled once when the image is published (ImageRepository::Register or
+// ForEach, or ContainIt's ad-hoc deploy of a bare spec). Immutable: every
+// deploy of the image and every session it backs share one snapshot, so a
+// republished image reaches later deploys while running sessions keep the
+// snapshot they were built from (DESIGN.md §16).
+struct ContainerImage {
+  PerforatedContainerSpec spec;
+  std::shared_ptr<const witfs::CompiledPolicy> policy;  // spec.fs.CompileEffectivePolicy()
+
+  static std::shared_ptr<const ContainerImage> Publish(PerforatedContainerSpec spec);
+};
+
 // The capabilities ContainIT removes from every contained user.
 const witos::CapabilitySet& ForbiddenCaps();
 

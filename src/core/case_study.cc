@@ -91,7 +91,7 @@ CaseStudyResult RunCaseStudy(const CaseStudyConfig& config) {
     const witcontain::Session* session_info =
         machine.containit().FindSession(deployment->session);
     if (session_info != nullptr) {
-      const witcontain::PerforatedContainerSpec& spec = session_info->spec;
+      const witcontain::PerforatedContainerSpec& spec = session_info->spec();
       if (spec.fs.kind != witcontain::FsView::Kind::kWholeRoot) {
         ++full_fs_denied;
       }

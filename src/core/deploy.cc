@@ -112,10 +112,10 @@ witos::Result<Deployment> RunDeployStages(Cluster* cluster, const Ticket& ticket
     gate->OnRollback(failed_stage, err);
   };
 
-  witcontain::PerforatedContainerSpec spec;
+  std::shared_ptr<const witcontain::ContainerImage> image;
   witos::Status status = run_stage(DeployStage::kImageLookup, [&]() -> witos::Status {
-    WITOS_ASSIGN_OR_RETURN(spec, cluster->images().Lookup(ticket.assigned_class));
-    return witos::Status::Ok();
+    image = cluster->images().Image(ticket.assigned_class);
+    return image != nullptr ? witos::Status::Ok() : witos::Status(witos::Err::kNoEnt);
   });
   if (!status.ok()) {
     rollback(DeployStage::kImageLookup, status.error());
@@ -124,7 +124,8 @@ witos::Result<Deployment> RunDeployStages(Cluster* cluster, const Ticket& ticket
 
   status = run_stage(DeployStage::kConstruct, [&]() -> witos::Status {
     WITOS_ASSIGN_OR_RETURN(tx.session,
-                           machine->containit().Deploy(spec, ticket.id, ticket.admin));
+                           machine->containit().Deploy(std::move(image), ticket.id,
+                                                       ticket.admin));
     tx.session_built = true;
     return witos::Status::Ok();
   });

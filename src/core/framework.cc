@@ -20,6 +20,33 @@ void ItFramework::EnableMetrics(witobs::MetricsRegistry* registry, witobs::Trace
                     "Ticket classifications by predicted class");
   train_latency_ = registry->GetHistogram("watchit_framework_train_latency_ns");
   classify_latency_ = registry->GetHistogram("watchit_framework_classify_latency_ns");
+  ResolveClassCounters();
+}
+
+void ItFramework::ResolveClassCounters() {
+  if (metrics_ == nullptr) {
+    return;
+  }
+  auto resolve = [this](const std::string& cls) {
+    if (!cls.empty()) {
+      class_counters_[cls] =
+          metrics_->GetCounter("watchit_framework_classifications_total", {{"class", cls}});
+    }
+  };
+  resolve("T-11");  // the untrained answer
+  if (lda_classifier_ != nullptr) {
+    for (const std::string& label : lda_classifier_->topic_labels()) {
+      resolve(label);
+    }
+    for (const std::string& label : lda_classifier_->orphan_labels()) {
+      resolve(label);
+    }
+  }
+  if (nb_classifier_ != nullptr) {
+    for (const std::string& label : nb_classifier_->labels()) {
+      resolve(label);
+    }
+  }
 }
 
 std::vector<std::string> ItFramework::Preprocess(const std::string& text) const {
@@ -44,6 +71,7 @@ void ItFramework::TrainOnHistory(
   if (config_.use_naive_bayes) {
     nb_classifier_ = std::make_unique<witnlp::NaiveBayesClassifier>(&corpus_);
   }
+  ResolveClassCounters();
 }
 
 std::string ItFramework::Classify(const std::string& text) const {
@@ -59,8 +87,12 @@ std::string ItFramework::Classify(const std::string& text) const {
                  : lda_classifier_->Classify(tokens);
   }
   if (metrics_ != nullptr) {
-    metrics_->GetCounter("watchit_framework_classifications_total", {{"class", result}})
-        ->Increment();
+    auto it = class_counters_.find(result);
+    witobs::Counter* counter =
+        it != class_counters_.end()
+            ? it->second
+            : metrics_->GetCounter("watchit_framework_classifications_total", {{"class", result}});
+    counter->Increment();
   }
   return result;
 }

@@ -5,6 +5,7 @@
 #ifndef SRC_CORE_FRAMEWORK_H_
 #define SRC_CORE_FRAMEWORK_H_
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -64,6 +65,9 @@ class ItFramework {
 
  private:
   std::vector<std::string> Preprocess(const std::string& text) const;
+  // Resolves the classification counter of every class the classifier can
+  // return, so Classify does no registry lookup.
+  void ResolveClassCounters();
 
   Config config_;
   witnlp::TextPipeline pipeline_;
@@ -78,6 +82,8 @@ class ItFramework {
   witobs::Tracer* tracer_ = nullptr;
   witobs::Histogram* train_latency_ = nullptr;
   witobs::Histogram* classify_latency_ = nullptr;
+  // Filled by EnableMetrics and TrainOnHistory, read by Classify.
+  std::map<std::string, witobs::Counter*, std::less<>> class_counters_;
 };
 
 }  // namespace watchit

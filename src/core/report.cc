@@ -13,56 +13,27 @@ witos::Result<SessionForensics> ForensicReporter::Collect(
   SessionForensics forensics;
   forensics.ticket_id = session->ticket_id;
   forensics.admin = session->admin;
-  forensics.container_class = session->spec.name;
+  forensics.container_class = session->spec().name;
   forensics.still_active = session->active;
   forensics.termination_reason = session->termination_reason;
 
-  if (session->itfs != nullptr) {
-    // Totals come from the metrics registry: they count every gated
-    // operation and survive the OpLog retention cap. The log itself still
-    // supplies the denied-path detail lines (a bounded, most-recent window).
-    const witobs::MetricsRegistry& metrics = machine_->metrics();
-    uint64_t fs_allowed = metrics.CounterValue(
-        "watchit_itfs_ticket_ops_total",
-        {{"ticket", session->ticket_id}, {"outcome", "allow"}});
-    forensics.fs_denied = static_cast<size_t>(metrics.CounterValue(
-        "watchit_itfs_ticket_ops_total",
-        {{"ticket", session->ticket_id}, {"outcome", "deny"}}));
-    forensics.fs_ops = static_cast<size_t>(fs_allowed) + forensics.fs_denied;
-    const witfs::OpLog& oplog = session->itfs->oplog();
-    if (forensics.fs_ops == 0 && oplog.size() > 0) {
-      // Unwired ITFS (tests constructing sessions outside Machine::Boot):
-      // fall back to counting the raw log.
-      forensics.fs_ops = oplog.size();
-      forensics.fs_denied = oplog.denied_count();
-    }
-    for (const auto& rec : oplog.Denied()) {
-      forensics.denied_paths.push_back(witfs::ItfsOpKindName(rec.op) + " " + rec.path + " [" +
-                                       rec.rule + "]");
-    }
-  }
-  if (session->sniffer != nullptr) {
-    forensics.packets_inspected = session->sniffer->packets_inspected();
-    forensics.packets_blocked = session->sniffer->blocked_count();
-    for (const auto& alert : session->sniffer->alerts()) {
-      forensics.sniffer_hits.push_back(
-          (alert.blocked ? std::string("BLOCK ") : std::string("ALERT ")) + alert.rule +
-          " -> " + alert.dst.ToString() + ":" + std::to_string(alert.port) + " (" +
-          std::to_string(alert.payload_bytes) + "B)");
-    }
-  }
+  // Filesystem and network evidence, plus exact broker request counts
+  // (they survive the event window's eviction), from the session summary:
+  // live while the session runs, the copy teardown kept once it ended.
+  witcontain::SessionSummary summary = machine_->containit().Summary(*session);
+  forensics.fs_ops = static_cast<size_t>(summary.fs_ops);
+  forensics.fs_denied = static_cast<size_t>(summary.fs_denied);
+  forensics.denied_paths = std::move(summary.denied_paths);
+  forensics.packets_inspected = static_cast<size_t>(summary.packets_inspected);
+  forensics.packets_blocked = static_cast<size_t>(summary.packets_blocked);
+  forensics.sniffer_hits = std::move(summary.sniffer_hits);
 
   // Broker activity for this ticket, with anomaly scoring against the
-  // machine's whole history. Counts come from the registry (exact even
-  // after event-buffer eviction); the detail lines come from the retained
-  // event window.
-  forensics.broker_requests = static_cast<size_t>(machine_->metrics().CounterValue(
-      "watchit_broker_ticket_requests_total",
-      {{"ticket", session->ticket_id}, {"outcome", "grant"}}));
-  forensics.broker_denied = static_cast<size_t>(machine_->metrics().CounterValue(
-      "watchit_broker_ticket_requests_total",
-      {{"ticket", session->ticket_id}, {"outcome", "deny"}}));
-  forensics.broker_requests += forensics.broker_denied;
+  // machine's whole history. The detail lines come from the retained event
+  // window.
+  forensics.broker_denied = static_cast<size_t>(summary.broker_denied);
+  forensics.broker_requests =
+      static_cast<size_t>(summary.broker_granted) + forensics.broker_denied;
   // Snapshot once: the detail lines, the fallback counts and the anomaly
   // baseline must all describe the same instant even while serving workers
   // keep appending broker events.
@@ -80,7 +51,7 @@ witos::Result<SessionForensics> ForensicReporter::Collect(
     session_events.push_back(event);
   }
   if (forensics.broker_requests == 0) {
-    // Unwired broker (tests outside Machine::Boot): count the raw window.
+    // A ticket the broker never bound: count the raw window.
     forensics.broker_requests = session_events.size();
     for (const auto& event : session_events) {
       forensics.broker_denied += event.granted ? 0 : 1;

@@ -109,7 +109,7 @@ witos::Status AdminSession::Kill(witos::Pid local_pid) const {
 witos::Status AdminSession::RestartService(const std::string& name) const {
   WITOS_RETURN_IF_ERROR(CheckCert());
   const witcontain::Session* session = container();
-  if (session == nullptr || !session->spec.process_mgmt) {
+  if (session == nullptr || !session->spec().process_mgmt) {
     // No control over host services without the process-management set.
     return witos::Err::kPerm;
   }

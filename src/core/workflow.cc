@@ -94,7 +94,6 @@ std::map<std::string, std::string> Dispatcher::pinned_classes() const {
 }
 
 void TicketWorkflow::EnableMetrics(witobs::MetricsRegistry* registry, witobs::Tracer* tracer) {
-  metrics_ = registry;
   tracer_ = tracer;
   if (registry == nullptr) {
     return;
@@ -103,17 +102,17 @@ void TicketWorkflow::EnableMetrics(witobs::MetricsRegistry* registry, witobs::Tr
                     "Wall-clock duration of each ticket-workflow stage");
   registry->SetHelp("watchit_workflow_tickets_total",
                     "Tickets processed by classification outcome");
-  // Pre-create the stage series so a snapshot taken before the first ticket
-  // already shows the full shape of the pipeline.
-  for (const char* stage : {"classify", "dispatch", "deploy", "replay", "expire"}) {
-    (void)StageHistogram(stage);
+  // Created up front, so a snapshot taken before the first ticket already
+  // shows the full shape of the pipeline.
+  const char* names[kNumStages] = {"classify", "dispatch", "deploy", "replay", "expire"};
+  for (size_t stage = 0; stage < kNumStages; ++stage) {
+    stage_latency_[stage] =
+        registry->GetHistogram("watchit_workflow_stage_latency_ns", {{"stage", names[stage]}});
   }
-}
-
-witobs::Histogram* TicketWorkflow::StageHistogram(const char* stage) {
-  return metrics_ != nullptr
-             ? metrics_->GetHistogram("watchit_workflow_stage_latency_ns", {{"stage", stage}})
-             : nullptr;
+  tickets_correct_ =
+      registry->GetCounter("watchit_workflow_tickets_total", {{"classified", "correct"}});
+  tickets_reviewed_ =
+      registry->GetCounter("watchit_workflow_tickets_total", {{"classified", "reviewed"}});
 }
 
 witos::Result<PreparedTicket> TicketWorkflow::Prepare(
@@ -123,7 +122,7 @@ witos::Result<PreparedTicket> TicketWorkflow::Prepare(
   ResolvedTicket& resolved = prepared.resolved;
   Ticket& ticket = resolved.ticket;
   {
-    witobs::ScopedTimer timer(StageHistogram("classify"));
+    witobs::ScopedTimer timer(StageHistogram(kClassify));
     resolved.predicted_class = framework_->Classify(generated.text);
     resolved.classified_correctly = resolved.predicted_class == generated.true_class;
 
@@ -136,15 +135,13 @@ witos::Result<PreparedTicket> TicketWorkflow::Prepare(
     ticket.true_class = generated.true_class;
     ticket.ops = generated.ops;
   }
-  if (metrics_ != nullptr) {
-    metrics_
-        ->GetCounter("watchit_workflow_tickets_total",
-                     {{"classified", resolved.classified_correctly ? "correct" : "reviewed"}})
-        ->Increment();
+  witobs::Counter* tickets = resolved.classified_correctly ? tickets_correct_ : tickets_reviewed_;
+  if (tickets != nullptr) {
+    tickets->Increment();
   }
 
   {
-    witobs::ScopedTimer timer(StageHistogram("dispatch"));
+    witobs::ScopedTimer timer(StageHistogram(kDispatch));
     WITOS_ASSIGN_OR_RETURN(ticket.admin, dispatcher_->Assign(ticket.assigned_class));
   }
 
@@ -173,7 +170,7 @@ witos::Result<ResolvedTicket> TicketWorkflow::Finish(PreparedTicket prepared,
 
   witos::Err replay_err = witos::Err::kOk;
   {
-    witobs::ScopedTimer timer(StageHistogram("replay"));
+    witobs::ScopedTimer timer(StageHistogram(kReplay));
     // The specialist works the ticket in the primary session.
     const Deployment& primary = resolved.deployments.front();
     AdminSession session(primary.machine, primary.session, primary.certificate,
@@ -195,7 +192,7 @@ witos::Result<ResolvedTicket> TicketWorkflow::Finish(PreparedTicket prepared,
   }
 
   {
-    witobs::ScopedTimer timer(StageHistogram("expire"));
+    witobs::ScopedTimer timer(StageHistogram(kExpire));
     for (auto& deployment : resolved.deployments) {
       (void)manager_.Expire(&deployment);
     }
@@ -222,7 +219,7 @@ witos::Result<ResolvedTicket> TicketWorkflow::Process(
 
   std::vector<Deployment> deployments;
   {
-    witobs::ScopedTimer timer(StageHistogram("deploy"));
+    witobs::ScopedTimer timer(StageHistogram(kDeploy));
     auto primary = manager_.Deploy(ticket);
     if (!primary.ok()) {
       // The assignment opened in Prepare() must close on the error path too,

@@ -141,7 +141,8 @@ class TicketWorkflow {
   void EnableMetrics(witobs::MetricsRegistry* registry, witobs::Tracer* tracer = nullptr);
 
  private:
-  witobs::Histogram* StageHistogram(const char* stage);
+  enum Stage { kClassify, kDispatch, kDeploy, kReplay, kExpire, kNumStages };
+  witobs::Histogram* StageHistogram(Stage stage) const { return stage_latency_[stage]; }
 
   Cluster* cluster_;
   ItFramework* framework_;
@@ -149,9 +150,12 @@ class TicketWorkflow {
   ClusterManager manager_;
   uint64_t processed_ = 0;
 
-  // Observability wiring (all null when metrics are disabled).
-  witobs::MetricsRegistry* metrics_ = nullptr;
+  // Observability wiring (all null when metrics are disabled), resolved
+  // once by EnableMetrics.
   witobs::Tracer* tracer_ = nullptr;
+  witobs::Histogram* stage_latency_[kNumStages] = {};
+  witobs::Counter* tickets_correct_ = nullptr;
+  witobs::Counter* tickets_reviewed_ = nullptr;
 };
 
 }  // namespace watchit

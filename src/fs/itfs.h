@@ -65,6 +65,35 @@ struct ShadowDivergence {
   std::string shadow_rule;   // shadow policy's matching rule (may be empty)
 };
 
+inline constexpr size_t kNumItfsOpKinds = 7;  // mirrors ItfsOpKind
+
+// The registry handles every ITFS instance on one machine shares. Resolved
+// once per registry (ContainIt::EnableMetrics, or Itfs::EnableMetrics for a
+// standalone mount), so attaching an Itfs to the machine's metrics costs a
+// pointer copy instead of a few dozen registry lookups. The series are
+// machine-wide; per-session totals live on each Itfs (gate_totals()).
+struct ItfsMetrics {
+  static std::shared_ptr<const ItfsMetrics> Resolve(witobs::MetricsRegistry* registry);
+
+  witobs::MetricsRegistry* registry = nullptr;
+  witobs::Counter* ops[kNumItfsOpKinds][2] = {};  // [op][0=allow, 1=deny]
+  witobs::Histogram* op_latency[kNumItfsOpKinds] = {};  // simulated ns per op
+  witobs::Counter* head_read_bytes = nullptr;
+  witobs::Counter* cache_hits = nullptr;
+  witobs::Counter* cache_misses = nullptr;
+  witobs::Counter* cache_invalidations = nullptr;
+  witobs::Counter* shadow[3] = {};  // agree, would_block, would_allow
+  witobs::Counter* oplog_dropped = nullptr;
+  witobs::Histogram* compile_ns = nullptr;
+};
+
+// Gated operations of one Itfs by outcome, counted whether or not metrics
+// are wired.
+struct GateTotals {
+  uint64_t allowed = 0;
+  uint64_t denied = 0;
+};
+
 class Itfs : public witos::Filesystem {
  public:
   // `invoker` is the host user who mounted ITFS (root for admin containers).
@@ -158,14 +187,26 @@ class Itfs : public witos::Filesystem {
     return lower_->Generation(path);
   }
 
-  // Wires this instance into the observability layer. `correlation_id` is
-  // the ticket/session id: it labels the per-ticket series and tags every
-  // span this filesystem emits. Counter/histogram handles are resolved once
-  // here so the per-operation cost is a few relaxed atomic adds.
+  // Wires a standalone instance into the observability layer: resolves a
+  // handle table for `registry`, attaches it, and observes the installed
+  // policy's compile time. `correlation_id` (the ticket/session id) tags
+  // every span this filesystem emits.
   void EnableMetrics(witobs::MetricsRegistry* registry, const std::string& correlation_id,
                      witobs::Tracer* tracer = nullptr);
+  // Attaches an already-resolved handle table (shared by every Itfs on a
+  // machine); null detaches. Observes no compile: the policy was compiled
+  // once for its image, not for this mount.
+  void AttachMetrics(std::shared_ptr<const ItfsMetrics> metrics, std::string correlation_id,
+                     witobs::Tracer* tracer = nullptr);
 
-  witobs::MetricsRegistry* metrics() const { return metrics_; }
+  witobs::MetricsRegistry* metrics() const {
+    return metrics_ != nullptr ? metrics_->registry : nullptr;
+  }
+
+  GateTotals gate_totals() const {
+    return {ops_allowed_.load(std::memory_order_relaxed),
+            ops_denied_.load(std::memory_order_relaxed)};
+  }
 
  private:
   // Policy gate: logs the access and returns EACCES if a deny rule fires.
@@ -196,7 +237,12 @@ class Itfs : public witos::Filesystem {
     uint64_t start_ns_;
   };
 
-  static constexpr size_t kNumOpKinds = 7;  // mirrors ItfsOpKind
+  witobs::Histogram* OpLatency(ItfsOpKind op) const {
+    return metrics_ != nullptr ? metrics_->op_latency[static_cast<size_t>(op)] : nullptr;
+  }
+  // Counts one gated operation in the per-instance totals and, when wired,
+  // the machine's series.
+  void CountGate(ItfsOpKind op, bool denied);
 
   // A cached content classification for one path. The entry is valid only
   // while the file's generation and the policy's required read size (basis)
@@ -246,19 +292,13 @@ class Itfs : public witos::Filesystem {
   std::atomic<uint64_t> verdict_misses_{0};
   std::atomic<uint64_t> verdict_invalidations_{0};
 
-  // Observability wiring (all null when metrics are disabled).
-  witobs::MetricsRegistry* metrics_ = nullptr;
+  std::atomic<uint64_t> ops_allowed_{0};
+  std::atomic<uint64_t> ops_denied_{0};
+
+  // Observability wiring (null when metrics are disabled).
+  std::shared_ptr<const ItfsMetrics> metrics_;
   witobs::Tracer* tracer_ = nullptr;
   std::string correlation_id_;
-  witobs::Counter* op_counters_[kNumOpKinds][2] = {};  // [op][0=allow, 1=deny]
-  witobs::Counter* ticket_ops_[2] = {};                // per-ticket allow/deny
-  witobs::Counter* head_read_bytes_ = nullptr;
-  witobs::Counter* cache_hits_counter_ = nullptr;
-  witobs::Counter* cache_misses_counter_ = nullptr;
-  witobs::Counter* cache_invalidations_counter_ = nullptr;
-  witobs::Counter* shadow_counters_[3] = {};  // agree, would_block, would_allow
-  witobs::Histogram* compile_ns_hist_ = nullptr;
-  witobs::Histogram* op_latency_[kNumOpKinds] = {};    // simulated ns per op
 };
 
 }  // namespace witfs

@@ -14,6 +14,8 @@
 #ifndef SRC_OS_FILESYSTEM_H_
 #define SRC_OS_FILESYSTEM_H_
 
+#include <atomic>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -35,7 +37,16 @@ inline constexpr uint64_t kNoGeneration = 0;
 
 class Filesystem {
  public:
+  Filesystem() = default;
+  // A copy is a different filesystem: it gets its own instance id.
+  Filesystem(const Filesystem&) : instance_id_(NextInstanceId()) {}
+  Filesystem& operator=(const Filesystem&) { return *this; }
   virtual ~Filesystem() = default;
+
+  // Identity for caches keyed by filesystem (the kernel page cache). Unique
+  // for the whole run, unlike the object's address, which a filesystem
+  // allocated after this one is destroyed may reuse.
+  uint64_t instance_id() const { return instance_id_; }
 
   // Filesystem type name as shown in the mount table ("ext4", "fuse.itfs",
   // "proc", ...).
@@ -112,6 +123,14 @@ class Filesystem {
     (void)path;
     return kNoGeneration;
   }
+
+ private:
+  static uint64_t NextInstanceId() {
+    static std::atomic<uint64_t> next{1};
+    return next.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  const uint64_t instance_id_ = NextInstanceId();
 };
 
 }  // namespace witos

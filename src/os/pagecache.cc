@@ -1,10 +1,19 @@
 #include "src/os/pagecache.h"
 
+#include "src/os/filesystem.h"
+
 namespace witos {
+
+namespace {
+
+// Instance ids start at 1, so 0 is free for the anonymous null filesystem.
+uint64_t IdOf(const Filesystem* fs) { return fs == nullptr ? 0 : fs->instance_id(); }
+
+}  // namespace
 
 const std::string* PageCache::Lookup(const Filesystem* fs, const std::string& path,
                                      uint64_t block) const {
-  auto it = blocks_.find(Key(fs, path, block));
+  auto it = blocks_.find(Key(IdOf(fs), path, block));
   if (it == blocks_.end()) {
     return nullptr;
   }
@@ -31,7 +40,7 @@ void PageCache::Insert(const Filesystem* fs, const std::string& path, uint64_t b
   if (data.size() > capacity_) {
     return;  // uncacheable: would evict everything and still not fit
   }
-  Key key(fs, path, block);
+  Key key(IdOf(fs), path, block);
   auto it = blocks_.find(key);
   if (it != blocks_.end()) {
     // Re-inserting counts as a fresh insertion (the block moves to the back
@@ -57,7 +66,7 @@ void PageCache::InvalidateRange(const Filesystem* fs, const std::string& path, u
   uint64_t first = offset / kBlockSize;
   uint64_t last = (offset + len - 1) / kBlockSize;
   for (uint64_t block = first; block <= last; ++block) {
-    auto it = blocks_.find(Key(fs, path, block));
+    auto it = blocks_.find(Key(IdOf(fs), path, block));
     if (it != blocks_.end()) {
       Erase(it);
     }
@@ -66,8 +75,8 @@ void PageCache::InvalidateRange(const Filesystem* fs, const std::string& path, u
 
 void PageCache::InvalidateFile(const Filesystem* fs, const std::string& path) {
   mutation_generation_.fetch_add(1, std::memory_order_relaxed);
-  Key low(fs, path, 0);
-  Key high(fs, path, ~0ull);
+  Key low(IdOf(fs), path, 0);
+  Key high(IdOf(fs), path, ~0ull);
   auto it = blocks_.lower_bound(low);
   while (it != blocks_.end() && it->first <= high) {
     auto next = std::next(it);

@@ -39,7 +39,8 @@ class PageCache {
       : capacity_(capacity_bytes) {}
 
   // Returns the cached block or nullptr. A present block may be short (the
-  // file's EOF block).
+  // file's EOF block). A null `fs`, here and below, names one anonymous
+  // filesystem.
   const std::string* Lookup(const Filesystem* fs, const std::string& path,
                             uint64_t block) const;
 
@@ -79,7 +80,9 @@ class PageCache {
   }
 
  private:
-  using Key = std::tuple<const Filesystem*, std::string, uint64_t>;
+  // (Filesystem::instance_id, path, block): never the filesystem's address,
+  // which a later filesystem may reuse while stale blocks are still cached.
+  using Key = std::tuple<uint64_t, std::string, uint64_t>;
   struct Block {
     std::string data;
     std::list<Key>::iterator order_it;  // position in order_

@@ -12,6 +12,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -352,6 +353,111 @@ TEST(DeployPipelineTest, ConcurrentSubmittersAllLandAndExpireCleanly) {
     EXPECT_EQ(machine.kernel().clock().ownership_violations(), 0u);
   }
   EXPECT_EQ(cluster.ca().issued_count(), cluster.ca().revoked_count());
+}
+
+// --- image snapshots ----------------------------------------------------------
+
+// Eight machines deploy one class at once: every session runs the image's
+// one compiled policy and answers identically. A republish through ForEach
+// between waves reaches the later wave only; the earlier sessions keep the
+// snapshot they were built from.
+TEST(ImageSnapshotTest, ConcurrentDeploysShareOneCompiledPolicy) {
+  constexpr size_t kMachines = 8;
+  Cluster cluster;
+  std::vector<std::string> names;
+  for (size_t i = 0; i < kMachines; ++i) {
+    names.push_back("host" + std::to_string(i));
+    cluster.AddMachine(names.back(), witnet::Ipv4Addr(10, 0, 2, static_cast<uint8_t>(10 + i)));
+  }
+  DeployPipeline::Options options;
+  options.workers = 4;
+  options.max_inflight = kMachines;
+  DeployPipeline pipeline(&cluster, options);
+  pipeline.Start();
+
+  auto wave = [&](const std::string& tag) {
+    std::vector<DeployHandle> handles;
+    for (const std::string& name : names) {
+      auto handle = pipeline.Submit(MakeTicket("TKT-" + tag + "-" + name, name, "T-6"));
+      EXPECT_TRUE(handle.ok());
+      if (handle.ok()) {
+        handles.push_back(*handle);
+      }
+    }
+    std::vector<Deployment> deployments;
+    for (const DeployHandle& handle : handles) {
+      auto result = handle->Wait();
+      EXPECT_TRUE(result.ok());
+      if (result.ok()) {
+        deployments.push_back(*result);
+      }
+    }
+    return deployments;
+  };
+  auto policy_of = [](const Deployment& d) {
+    return d.machine->containit().FindSession(d.session)->itfs->policy_snapshot();
+  };
+  // The container's answer to a read of each path, errno by errno.
+  const std::vector<std::string> paths = {"/home/user/documents/payroll.xlsx",
+                                          "/var/log/df.log", "/usr/bin/mpstat"};
+  auto verdicts = [&paths](const Deployment& d) {
+    Machine* machine = d.machine;
+    std::lock_guard<std::mutex> lock(machine->mu());
+    machine->kernel().clock().BindOwner();
+    witos::Pid shell = machine->containit().FindSession(d.session)->shell;
+    std::vector<witos::Err> out;
+    for (const std::string& path : paths) {
+      auto read = machine->kernel().ReadFile(shell, path);
+      out.push_back(read.ok() ? witos::Err::kOk : read.error());
+    }
+    machine->kernel().clock().ReleaseOwner();
+    return out;
+  };
+
+  std::vector<Deployment> first = wave("A");
+  ASSERT_EQ(first.size(), kMachines);
+  std::shared_ptr<const witcontain::ContainerImage> image_a = cluster.images().Image("T-6");
+  const std::vector<witos::Err> verdicts_a = verdicts(first.front());
+  EXPECT_EQ(verdicts_a, (std::vector<witos::Err>{witos::Err::kAcces, witos::Err::kOk,
+                                                 witos::Err::kOk}));
+  for (const Deployment& d : first) {
+    EXPECT_EQ(policy_of(d), image_a->policy);
+    EXPECT_EQ(verdicts(d), verdicts_a);
+  }
+
+  // Republish every image with /var/log protected.
+  cluster.images().ForEach([](const std::string&, witcontain::PerforatedContainerSpec* spec) {
+    spec->fs.policy.AddRule(witfs::ItfsPolicy::ProtectPathsRule({"/var/log"}));
+  });
+  std::shared_ptr<const witcontain::ContainerImage> image_b = cluster.images().Image("T-6");
+  ASSERT_NE(image_b, image_a);
+
+  std::vector<Deployment> second = wave("B");
+  ASSERT_EQ(second.size(), kMachines);
+  const std::vector<witos::Err> verdicts_b = verdicts(second.front());
+  EXPECT_EQ(verdicts_b, (std::vector<witos::Err>{witos::Err::kAcces, witos::Err::kAcces,
+                                                 witos::Err::kOk}));
+  for (const Deployment& d : second) {
+    EXPECT_EQ(policy_of(d), image_b->policy);
+    EXPECT_EQ(verdicts(d), verdicts_b);
+  }
+  // The first wave still runs the snapshot it was deployed from.
+  for (const Deployment& d : first) {
+    EXPECT_EQ(policy_of(d), image_a->policy);
+    EXPECT_EQ(verdicts(d), verdicts_a);
+  }
+  pipeline.Stop();
+
+  ClusterManager manager(&cluster);
+  for (std::vector<Deployment>* deployments : {&first, &second}) {
+    for (Deployment& d : *deployments) {
+      EXPECT_TRUE(manager.Expire(&d).ok());
+    }
+  }
+  for (size_t i = 0; i < cluster.size(); ++i) {
+    EXPECT_EQ(cluster.machine(i).containit().active_sessions(), 0u);
+    EXPECT_EQ(cluster.machine(i).kernel().clock().ownership_violations(), 0u);
+  }
 }
 
 // --- fault-injection sweep (no stage/errno combination may leak) -------------

@@ -270,13 +270,13 @@ TEST(EndToEndTest, MachineWiringProducesTwelvePlusSeries) {
   // broker verbs, and latency histograms.
   EXPECT_GE(metrics.SeriesCount(), 12u);
 
-  // Per-ticket ITFS counters, by outcome.
-  EXPECT_GT(metrics.CounterValue("watchit_itfs_ticket_ops_total",
-                                 {{"ticket", "TKT-OBS"}, {"outcome", "allow"}}),
-            0u);
-  EXPECT_GT(metrics.CounterValue("watchit_itfs_ticket_ops_total",
-                                 {{"ticket", "TKT-OBS"}, {"outcome", "deny"}}),
-            0u);
+  // Per-ticket ITFS totals, by outcome, live on the session's ITFS rather
+  // than on a {ticket=} series.
+  const witcontain::Session* container = machine.containit().FindSession(deployment->session);
+  ASSERT_NE(container, nullptr);
+  ASSERT_NE(container->itfs, nullptr);
+  EXPECT_GT(container->itfs->gate_totals().allowed, 0u);
+  EXPECT_GT(container->itfs->gate_totals().denied, 0u);
   // Broker verbs by grant outcome.
   EXPECT_EQ(metrics.CounterValue("watchit_broker_requests_total",
                                  {{"verb", "ps"}, {"outcome", "grant"}}),
@@ -297,11 +297,12 @@ TEST(EndToEndTest, MachineWiringProducesTwelvePlusSeries) {
   // The rendered exposition carries the headline families.
   std::string prom = RenderPrometheus(metrics);
   for (const char* family :
-       {"watchit_itfs_ops_total", "watchit_itfs_ticket_ops_total",
-        "watchit_itfs_op_latency_ns_bucket", "watchit_broker_requests_total",
-        "watchit_broker_dispatch_latency_ns_count"}) {
+       {"watchit_itfs_ops_total", "watchit_itfs_op_latency_ns_bucket",
+        "watchit_broker_requests_total", "watchit_broker_dispatch_latency_ns_count"}) {
     EXPECT_NE(prom.find(family), std::string::npos) << family;
   }
+  // No series is keyed by ticket: per-ticket counts are session state.
+  EXPECT_EQ(prom.find("ticket=\""), std::string::npos);
 
   // Spans emitted by ITFS/broker carry the ticket id as correlation.
   bool saw_gate = false;
@@ -351,10 +352,9 @@ TEST(EndToEndTest, BrokerEventRetentionCap) {
   EXPECT_EQ(machine.broker().EventsSnapshot().size(), 2u);
   EXPECT_EQ(machine.broker().dropped_events(), 3u);
   EXPECT_EQ(machine.metrics().CounterValue("watchit_broker_events_dropped_total"), 3u);
-  // The registry still has the exact total despite the eviction.
-  EXPECT_EQ(machine.metrics().CounterValue("watchit_broker_ticket_requests_total",
-                                           {{"ticket", "TKT-CAP"}, {"outcome", "grant"}}),
-            5u);
+  // The ticket's broker state still has the exact total despite the
+  // eviction.
+  EXPECT_EQ(machine.broker().TicketRequests("TKT-CAP").granted, 5u);
 }
 
 }  // namespace

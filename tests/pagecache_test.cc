@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <new>
 #include <random>
 
 #include "src/os/kernel.h"
@@ -52,6 +53,19 @@ TEST(PageCacheTest, DistinctFilesAndFilesystemsAreDistinctKeys) {
   EXPECT_EQ(cache.Lookup(&fs_a, "/f", 0), nullptr);
   EXPECT_NE(cache.Lookup(&fs_b, "/f", 0), nullptr);
   EXPECT_NE(cache.Lookup(&fs_a, "/g", 0), nullptr);
+}
+
+// A filesystem allocated where a destroyed one lived (a new session's root
+// after teardown freed the last one) must not see the old one's blocks.
+TEST(PageCacheTest, ReusedAddressDoesNotServeStaleBlocks) {
+  PageCache cache;
+  alignas(MemFs) unsigned char storage[sizeof(MemFs)];
+  MemFs* first = new (storage) MemFs();
+  cache.Insert(first, "/f", 0, "previous session's data");
+  first->~MemFs();
+  MemFs* second = new (storage) MemFs();
+  EXPECT_EQ(cache.Lookup(second, "/f", 0), nullptr);
+  second->~MemFs();
 }
 
 TEST(PageCacheTest, OverflowEvictsOldestFirstNotEverything) {

@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+#include <vector>
+
 #include "src/core/cluster.h"
 #include "src/core/session.h"
+#include "src/workload/topology.h"
 
 namespace watchit {
 namespace {
@@ -98,6 +103,105 @@ TEST_F(ReportTest, BrokerActivityAppearsInReport) {
   EXPECT_EQ(forensics->broker_denied, 1u);
   std::string rendered = ForensicReporter::Render(*forensics);
   EXPECT_NE(rendered.find("DENY driver_update rootkit"), std::string::npos);
+}
+
+// Reports of expired sessions, pinned verbatim: a benign session, a probing
+// one (chroot escape, /dev/mem, denied documents, an encrypted upload the
+// sniffer blocks) and a broker user with granted and denied requests. The
+// strings and the triage order must not change with how a terminated
+// session keeps its evidence.
+TEST_F(ReportTest, ExpiredSessionReportsArePinned) {
+  Deployment good = Deploy("T-1", "TKT-GOOD", "alice");
+  {
+    AdminSession session(machine_, good.session, good.certificate, &cluster_.ca());
+    ASSERT_TRUE(session.Login().ok());
+    ASSERT_TRUE(session.ReadFile("/home/user/.matlab/license.lic").ok());
+    ASSERT_TRUE(session.Connect("license-server", 0).ok());
+  }
+
+  Deployment bad = Deploy("T-6", "TKT-BAD", "mallory");
+  {
+    AdminSession session(machine_, bad.session, bad.certificate, &cluster_.ca());
+    ASSERT_TRUE(session.Login().ok());
+    witos::Kernel& kernel = machine_->kernel();
+    witos::Pid shell = session.shell();
+    (void)kernel.MkDir(shell, "/tmp/jailbreak");
+    (void)kernel.Chroot(shell, "/tmp/jailbreak");
+    (void)kernel.Open(shell, "/dev/mem", witos::kOpenRead);
+    (void)session.ReadFile("/home/user/documents/payroll.xlsx");
+    (void)session.ReadFile("/home/user/documents/patients.pdf");
+    std::string encrypted;
+    std::mt19937 rng(7);
+    for (int i = 0; i < 2048; ++i) {
+      encrypted += static_cast<char>(rng() & 0xff);
+    }
+    witos::NsId net_ns = kernel.FindProcess(shell)->ns.Get(witos::NsType::kNet);
+    EXPECT_FALSE(machine_->net()
+                     .Request(net_ns, witload::kSoftwareRepo.addr, witload::kSoftwareRepo.port,
+                              encrypted, 0)
+                     .ok());
+    EXPECT_FALSE(session.Pb(witbroker::kVerbDriverUpdate, {"rootkit"}).ok());
+  }
+
+  Deployment pb = Deploy("T-5", "TKT-PB", "carol");
+  {
+    AdminSession session(machine_, pb.session, pb.certificate, &cluster_.ca());
+    ASSERT_TRUE(session.Login().ok());
+    ASSERT_TRUE(session.Pb(witbroker::kVerbPs, {}).ok());
+    ASSERT_TRUE(session.Pb(witbroker::kVerbRestartService, {"cups"}).ok());
+    ASSERT_FALSE(session.Pb(witbroker::kVerbDriverUpdate, {"rootkit"}).ok());
+  }
+
+  for (Deployment* deployment : {&good, &bad, &pb}) {
+    ASSERT_TRUE(manager_->Expire(deployment).ok());
+  }
+
+  ForensicReporter reporter(machine_);
+  auto render = [&](const Deployment& deployment) {
+    auto forensics = reporter.Collect(deployment.session);
+    EXPECT_TRUE(forensics.ok());
+    return forensics.ok() ? ForensicReporter::Render(*forensics) : std::string();
+  };
+  EXPECT_EQ(render(good), R"(=== incident report: TKT-GOOD ===
+admin: alice   container: T-1: License related
+status: terminated (ticket expired)
+severity: 0/100
+filesystem: 2 ops, 0 denied
+network: 1 packets inspected, 0 blocked
+broker: 0 requests, 0 denied
+probing: 0 capability denials, 0 XCL denials, 0 TCB violations
+)");
+  EXPECT_EQ(render(bad), R"(=== incident report: TKT-BAD ===
+admin: mallory   container: T-6: Software related
+status: terminated (ticket expired)
+severity: 56/100
+filesystem: 3 ops, 2 denied
+  denied: open /home/user/documents/payroll.xlsx [deny-documents]
+  denied: open /home/user/documents/patients.pdf [deny-documents]
+network: 1 packets inspected, 1 blocked
+  BLOCK block-encrypted-payload -> 10.0.0.20:80 (2048B)
+broker: 1 requests, 1 denied
+  DENY driver_update rootkit
+probing: 2 capability denials, 0 XCL denials, 0 TCB violations
+)");
+  EXPECT_EQ(render(pb), R"(=== incident report: TKT-PB ===
+admin: carol   container: T-5: Slow / non-responsive server
+status: terminated (ticket expired)
+severity: 6/100
+filesystem: 0 ops, 0 denied
+network: 0 packets inspected, 0 blocked
+broker: 3 requests, 1 denied
+  GRANT ps
+  GRANT restart_service cups
+  DENY driver_update rootkit
+probing: 0 capability denials, 0 XCL denials, 0 TCB violations
+)");
+
+  std::vector<std::string> order;
+  for (const SessionForensics& forensics : reporter.TriageQueue()) {
+    order.push_back(forensics.ticket_id + ":" + std::to_string(forensics.severity));
+  }
+  EXPECT_EQ(order, (std::vector<std::string>{"TKT-BAD:56", "TKT-PB:6", "TKT-GOOD:0"}));
 }
 
 TEST_F(ReportTest, UnknownSessionIsSrch) {

@@ -3,11 +3,15 @@
 // PID namespace, the host root's /ConFS-* mountpoints, the NET namespace
 // payloads and the active-session count are exactly what they were after
 // the first, and the broker's `ps` lists the same number of processes.
-// Kill-process ops leave no runaway victim behind under host init.
+// Kill-process ops leave no runaway victim behind under host init. Nothing
+// per ticket accumulates in the machine's metric registry, a terminated
+// session frees its ITFS and private root, and deploying one class again
+// and again compiles no policy.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -148,6 +152,65 @@ TEST_F(TeardownSteadyStateTest, KillProcessVictimsAreReaped) {
   }
   EXPECT_EQ(first.processes, last.processes);
   EXPECT_EQ(first.init_children, last.init_children);
+}
+
+// Per-ticket counts live on the session and the broker's ticket state, not
+// on {ticket=} series, so cycle N leaves the registry as cycle 1 did.
+TEST_F(TeardownSteadyStateTest, MetricSeriesStayFlat) {
+  (void)Cycle(1);
+  const size_t first = machine_->metrics().SeriesCount();
+  for (int n = 2; n <= 50; ++n) {
+    (void)Cycle(n);
+  }
+  EXPECT_EQ(machine_->metrics().SeriesCount(), first);
+}
+
+// Terminate keeps the forensic summary and drops the session's heavy state:
+// nothing else holds the ITFS instance or the private root once the session
+// is gone.
+TEST_F(TeardownSteadyStateTest, TerminatedSessionFreesItfsAndPrivateRoot) {
+  Ticket ticket;
+  ticket.id = "TKT-SHED";
+  ticket.target_machine = "userpc";
+  ticket.assigned_class = "T-1";
+  ticket.admin = "alice";
+  auto deployment = manager_.Deploy(ticket);
+  ASSERT_TRUE(deployment.ok());
+  std::weak_ptr<witfs::Itfs> itfs;
+  std::weak_ptr<witos::MemFs> private_root;
+  {
+    const witcontain::Session* session =
+        machine_->containit().FindSession(deployment->session);
+    ASSERT_NE(session, nullptr);
+    ASSERT_NE(session->itfs, nullptr);
+    ASSERT_NE(session->private_root, nullptr);
+    itfs = session->itfs;
+    private_root = session->private_root;
+    AdminSession admin(machine_, deployment->session, deployment->certificate, &cluster_.ca());
+    ASSERT_TRUE(admin.Login().ok());
+    ASSERT_TRUE(admin.ReadFile("/home/user/.matlab/license.lic").ok());
+  }
+  EXPECT_FALSE(itfs.expired());
+  EXPECT_FALSE(private_root.expired());
+  ASSERT_TRUE(manager_.Expire(&*deployment).ok());
+  EXPECT_TRUE(itfs.expired());
+  EXPECT_TRUE(private_root.expired());
+}
+
+// The class image's policy is compiled when the image is published, not per
+// deploy: watchit_policy_compile_ns observes only compiles that ran.
+TEST_F(TeardownSteadyStateTest, RepeatedDeploysCompileNoPolicy) {
+  auto compiles = [this]() -> uint64_t {
+    const witobs::Histogram* hist =
+        machine_->metrics().FindHistogram("watchit_policy_compile_ns");
+    return hist == nullptr ? 0 : hist->Count();
+  };
+  (void)Cycle(1);
+  const uint64_t first = compiles();
+  for (int n = 2; n <= 20; ++n) {
+    (void)Cycle(n);
+  }
+  EXPECT_EQ(compiles(), first);
 }
 
 }  // namespace
